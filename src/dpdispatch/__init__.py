@@ -8,7 +8,6 @@ indoor temperature stays inside the comfort band.
 
 from dpdispatch.privacy import (
     DPParams,
-    NoiseTrace,
     compute_net_pv,
     density_ratio_bound_check,
     generate_noise_trace,

@@ -22,31 +22,24 @@ import numpy as np
 from dpdispatch import metrics
 from dpdispatch.dispatch import SolverGuardError, receding_horizon_run
 from dpdispatch.metrics import RunReport
-from dpdispatch.privacy import (
-    NoiseTrace,
-    compute_net_pv,
-    generate_noise_trace,
-    save_noise_trace,
-)
+from dpdispatch.privacy import compute_net_pv, generate_noise_trace
 from dpdispatch.scenario import ConfigError, ScenarioConfig, build_simulation, config_as_dict, load_config
-from dpdispatch.traces import TraceError
+from dpdispatch.traces import Trace, TraceError, save_trace, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_GUARD = 2
 EXIT_INFEASIBLE = 3
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
+# Headers of the fixed-width per-step files; `report` reads their columns by
+# position, so it refuses a file whose header differs.
+RESULTS_HEADER = ["step", "ref_kw", "agg_kw", "residual_kw", "n_on", "violations"]
+FLAGS_HEADER = ["step", "ref_unclamped_kw", "ref_clamped", "target_clipped",
+                "must_on_kw", "free_kw", "infeasible"]
 
 
 def _write_summary(path: Path, summary: dict) -> None:
-    _write_csv(path, list(summary.keys()), [list(summary.values())])
+    write_csv(path, list(summary.keys()), [list(summary.values())])
 
 
 def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
@@ -58,17 +51,17 @@ def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     }
 
 
-def _emit_noise_files(noise: NoiseTrace, cfg: ScenarioConfig, out: Path) -> None:
-    save_noise_trace(noise, out / "noise.csv")
+def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
+    save_trace(noise, out / "noise.csv", "noise_kw")
     counts, edges = metrics.noise_histogram(noise, n_bins=40)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    _write_csv(
+    write_csv(
         out / "noise_histogram.csv",
         ["bin_center", "count"],
         [(repr(float(c)), int(n)) for c, n in zip(centers, counts)],
     )
     moments = metrics.noise_moment_check(noise, cfg.dp)
-    _write_csv(
+    write_csv(
         out / "noise_moments.csv",
         ["n", "mean", "variance", "expected_variance"],
         [[moments["n"], moments["mean"],
@@ -90,38 +83,31 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
     residual = report.residual_kw
-    lo, hi = cfg.mpc.comfort_min, cfg.mpc.comfort_max
-    per_step_viol = [
-        int(np.count_nonzero(
-            (report.temps[:, k] < lo - metrics.COMFORT_TOL)
-            | (report.temps[:, k] > hi + metrics.COMFORT_TOL)
-        ))
-        for k in range(report.n_steps)
-    ]
-    _write_csv(
+    band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
+    per_step_viol = metrics.comfort_violations_per_step(report, band).tolist()
+    write_csv(
         out / "results.csv",
-        ["step", "ref_kw", "agg_kw", "residual_kw", "n_on", "violations"],
+        RESULTS_HEADER,
         [
             (k, report.reference_kw[k], report.aggregate_kw[k], residual[k],
              report.n_on[k], per_step_viol[k])
             for k in range(report.n_steps)
         ],
     )
-    _write_csv(
+    write_csv(
         out / "pv.csv",
         ["step", "pv_kw"],
         [(k, v) for k, v in enumerate(report.pv_kw)],
     )
-    _write_csv(
+    write_csv(
         out / "temperatures.csv",
         ["step"] + [f"b{j:03d}" for j in range(report.temps.shape[0])],
         [(k, *report.temps[:, k]) for k in range(report.n_steps)],
     )
     infeasible = set(report.infeasible_steps)
-    _write_csv(
+    write_csv(
         out / "flags.csv",
-        ["step", "ref_unclamped_kw", "ref_clamped", "target_clipped",
-         "must_on_kw", "free_kw", "infeasible"],
+        FLAGS_HEADER,
         [
             (k, report.unclamped_reference_kw[k], int(report.ref_clamped[k]),
              int(report.target_clipped[k]), report.must_on_kw[k],
@@ -129,30 +115,21 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
             for k in range(report.n_steps)
         ],
     )
-    summary = metrics.summarize(report, band=(lo, hi))
+    summary = metrics.summarize(report, band=band)
     _write_summary(out / "summary.csv", summary)
     _emit_plot_files(report, out)
     return summary
 
 
 def _emit_plot_files(report: RunReport, out: Path) -> None:
+    """The plot series that no top-level file already holds."""
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    _write_csv(plots / "noise_trace.csv", ["step", "noise_kw"],
-               [(k, v) for k, v in enumerate(report.noise_kw)])
-    noise = NoiseTrace(values=report.noise_kw, step_seconds=report.step_seconds)
-    counts, edges = metrics.noise_histogram(noise, n_bins=40)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    _write_csv(plots / "noise_histogram.csv", ["bin_center", "count"],
-               [(repr(float(c)), int(n)) for c, n in zip(centers, counts)])
-    _write_csv(plots / "net_reference.csv", ["step", "net_pv_kw"],
-               [(k, v) for k, v in enumerate(report.reference_kw)])
-    _write_csv(plots / "temperatures.csv",
-               ["step"] + [f"b{j:03d}" for j in range(report.temps.shape[0])],
-               [(k, *report.temps[:, k]) for k in range(report.n_steps)])
-    _write_csv(plots / "tracking_overlay.csv", ["step", "ref_kw", "agg_kw"],
-               [(k, report.reference_kw[k], report.aggregate_kw[k])
-                for k in range(report.n_steps)])
+    write_csv(plots / "net_reference.csv", ["step", "net_pv_kw"],
+              [(k, v) for k, v in enumerate(report.reference_kw)])
+    write_csv(plots / "tracking_overlay.csv", ["step", "ref_kw", "agg_kw"],
+              [(k, report.reference_kw[k], report.aggregate_kw[k])
+               for k in range(report.n_steps)])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -185,16 +162,37 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_table(
+    path: Path, header: list[str] | None = None, n_rows: int | None = None
+) -> tuple[list[str], np.ndarray]:
+    """A numeric run CSV as (header, one float row per data line).
+
+    Refuses, naming the file, a header other than `header` when one is
+    given, a row whose cell count differs from the header's, a row count
+    other than `n_rows` when one is given, and cells that are not numbers.
+    """
     if not path.exists():
         raise TraceError(f"missing run file: {path}")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            found = next(reader)
         except StopIteration:
             raise TraceError(f"{path}: empty file") from None
-        return header, [row for row in reader if row]
+        rows = [row for row in reader if row]
+    if header is not None and found != header:
+        raise TraceError(f"{path}: expected header {header}, got {found}")
+    if not rows:
+        raise TraceError(f"{path}: no data rows")
+    for rownum, row in enumerate(rows, start=1):
+        if len(row) != len(found):
+            raise TraceError(f"{path}: row {rownum} has {len(row)} cells, header has {len(found)}")
+    if n_rows is not None and len(rows) != n_rows:
+        raise TraceError(f"{path}: {len(rows)} data rows, results.csv has {n_rows}")
+    try:
+        return found, np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise TraceError(f"{path}: {exc}") from None
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -204,35 +202,35 @@ def cmd_report(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise TraceError(f"missing run file: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    band = (
-        manifest["config"]["mpc"]["comfort_min"],
-        manifest["config"]["mpc"]["comfort_max"],
-    )
-    step_seconds = manifest["config"]["traces"]["step_seconds"]
+    try:
+        config = json.loads(manifest_path.read_text())["config"]
+        band = (config["mpc"]["comfort_min"], config["mpc"]["comfort_max"])
+        step_seconds = config["traces"]["step_seconds"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{manifest_path}: not a run manifest: {exc!r}") from None
 
-    _, result_rows = _read_csv(out / "results.csv")
-    _, pv_rows = _read_csv(out / "pv.csv")
-    _, noise_rows = _read_csv(out / "noise.csv")
-    temp_header, temp_rows = _read_csv(out / "temperatures.csv")
-    _, flag_rows = _read_csv(out / "flags.csv")
+    _, results = _read_table(out / "results.csv", RESULTS_HEADER)
+    n_steps = len(results)
+    _, pv = _read_table(out / "pv.csv", ["step", "pv_kw"], n_steps)
+    _, noise = _read_table(out / "noise.csv", ["step", "noise_kw"], n_steps)
+    temp_header, temps = _read_table(out / "temperatures.csv", n_rows=n_steps)
+    _, flags = _read_table(out / "flags.csv", FLAGS_HEADER, n_steps)
 
     n_b = len(temp_header) - 1
-    temps = np.array([[float(v) for v in row[1:]] for row in temp_rows]).T
     report = RunReport(
         step_seconds=step_seconds,
-        pv_kw=tuple(float(r[1]) for r in pv_rows),
-        noise_kw=tuple(float(r[1]) for r in noise_rows),
-        reference_kw=tuple(float(r[1]) for r in result_rows),
-        unclamped_reference_kw=tuple(float(r[1]) for r in flag_rows),
-        aggregate_kw=tuple(float(r[2]) for r in result_rows),
-        temps=temps,
-        n_on=tuple(int(r[4]) for r in result_rows),
-        must_on_kw=tuple(float(r[4]) for r in flag_rows),
-        free_kw=tuple(float(r[5]) for r in flag_rows),
-        target_clipped=tuple(bool(int(r[3])) for r in flag_rows),
-        ref_clamped=tuple(bool(int(r[2])) for r in flag_rows),
-        infeasible_steps=tuple(int(r[0]) for r in flag_rows if int(r[6])),
+        pv_kw=tuple(pv[:, 1].tolist()),
+        noise_kw=tuple(noise[:, 1].tolist()),
+        reference_kw=tuple(results[:, 1].tolist()),
+        unclamped_reference_kw=tuple(flags[:, 1].tolist()),
+        aggregate_kw=tuple(results[:, 2].tolist()),
+        temps=temps[:, 1:].T,
+        n_on=tuple(results[:, 4].astype(int).tolist()),
+        must_on_kw=tuple(flags[:, 4].tolist()),
+        free_kw=tuple(flags[:, 5].tolist()),
+        target_clipped=tuple((flags[:, 3] != 0).tolist()),
+        ref_clamped=tuple((flags[:, 2] != 0).tolist()),
+        infeasible_steps=tuple(flags[flags[:, 6] != 0, 0].astype(int).tolist()),
     )
     summary = metrics.summarize(report, band=band)
     _write_summary(out / "summary.csv", summary)

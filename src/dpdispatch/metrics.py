@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpdispatch.privacy import DPParams, NoiseTrace, laplace_scale
+from dpdispatch.privacy import DPParams, laplace_scale
+from dpdispatch.traces import Trace
 
 COMFORT_TOL = 1e-9  # band membership slack in degC
 
@@ -62,16 +63,23 @@ def max_abs_residual(report: RunReport) -> float:
     return float(np.max(np.abs(report.residual_kw)))
 
 
+def comfort_violations_per_step(
+    report: RunReport, band: tuple[float, float] = (22.5, 23.5)
+) -> np.ndarray:
+    """Per step, the number of buildings outside the closed band by > 1e-9 degC."""
+    lo, hi = band
+    temps = report.temps
+    return np.count_nonzero((temps < lo - COMFORT_TOL) | (temps > hi + COMFORT_TOL), axis=0)
+
+
 def comfort_violation_count(
     report: RunReport, band: tuple[float, float] = (22.5, 23.5)
 ) -> int:
     """Number of (building, step) samples outside the closed band by > 1e-9 degC."""
-    lo, hi = band
-    temps = report.temps
-    return int(np.count_nonzero((temps < lo - COMFORT_TOL) | (temps > hi + COMFORT_TOL)))
+    return int(comfort_violations_per_step(report, band).sum())
 
 
-def noise_histogram(noise: NoiseTrace, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+def noise_histogram(noise: Trace, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram over [min, max] of the trace.
 
     Returns (counts, bin_edges); counts always sum to the trace length.
@@ -85,7 +93,7 @@ def noise_histogram(noise: NoiseTrace, n_bins: int) -> tuple[np.ndarray, np.ndar
     return counts, edges
 
 
-def noise_moment_check(noise: NoiseTrace, params: DPParams) -> dict:
+def noise_moment_check(noise: Trace, params: DPParams) -> dict:
     """Sample mean/variance next to the analytic Laplace variance 2 lambda^2."""
     values = np.asarray(noise.values)
     scale = laplace_scale(params)

@@ -11,10 +11,8 @@ regeneration under a fixed seed is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -53,24 +51,6 @@ class DPParams:
         return self.delta > 0.0
 
 
-@dataclass(frozen=True)
-class NoiseTrace:
-    """Per-step privacy noise in kW; regeneration under one seed is exact."""
-
-    values: tuple[float, ...]
-    step_seconds: int = 600
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("noise trace must be non-empty")
-        if self.step_seconds <= 0:
-            raise ValueError("step_seconds must be positive")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def laplace_scale(params: DPParams) -> float:
     """Noise scale lambda = sensitivity / epsilon."""
     return params.sensitivity / params.epsilon
@@ -99,22 +79,24 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     return float(_inverse_cdf(rng.random(), scale))
 
 
-def generate_noise_trace(params: DPParams, length: int, step_seconds: int = 600) -> NoiseTrace:
-    """i.i.d. Laplace(sensitivity/epsilon) draws, one per step, from params.seed."""
+def generate_noise_trace(params: DPParams, length: int, step_seconds: int = 600) -> Trace:
+    """i.i.d. Laplace(sensitivity/epsilon) draws in kW, one per step, from params.seed."""
     if length < 1:
         raise ValueError("length must be at least 1")
     rng = np.random.Generator(np.random.PCG64(params.seed))
     values = _inverse_cdf(rng.random(length), laplace_scale(params))
-    return NoiseTrace(values=tuple(values.tolist()), step_seconds=step_seconds)
+    return Trace(values=tuple(values.tolist()), unit="kW", step_seconds=step_seconds)
 
 
-def compute_net_pv(pv: Trace, noise: NoiseTrace) -> Trace:
+def compute_net_pv(pv: Trace, noise: Trace) -> Trace:
     """Net reference: PV minus noise, elementwise. No clamping here;
     the dispatcher clamps to the fleet envelope and reports what it cut."""
     if len(pv) != len(noise):
         raise ValueError(f"length mismatch: pv has {len(pv)} steps, noise has {len(noise)}")
     if pv.step_seconds != noise.step_seconds:
         raise ValueError("step size mismatch between PV and noise traces")
+    if pv.unit != noise.unit:
+        raise ValueError(f"unit mismatch: pv in {pv.unit}, noise in {noise.unit}")
     net = tuple(p - n for p, n in zip(pv.values, noise.values))
     return Trace(values=net, unit="kW", step_seconds=pv.step_seconds, start_label=pv.start_label)
 
@@ -141,11 +123,3 @@ def mechanism_expected_squared_error(params: DPParams, m: int) -> float:
     # epsilon^2 form loses an ulp (e.g. epsilon = 0.1)
     return 2.0 * m * laplace_scale(params) ** 2
 
-
-def save_noise_trace(noise: NoiseTrace, path: str | Path) -> None:
-    """CSV export with header `step,noise_kw`, repr-precision values."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "noise_kw"])
-        for i, v in enumerate(noise.values):
-            writer.writerow([i, repr(v)])

@@ -42,18 +42,22 @@ class Trace:
         return len(self.values)
 
 
-def save_trace(trace: Trace, path: str | Path, value_header: str) -> None:
-    """Write a trace as CSV `step,<value_header>` with round-trip precision.
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header row, then each row of `rows`.
 
-    Values are printed with repr(), which is shortest-exact for floats and
-    always carries at least 9 significant digits when needed.
+    Integers and strings are written as they are; every other value is
+    written as repr(float(v)), the shortest string that reads back exactly.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", value_header])
-        for i, v in enumerate(trace.values):
-            writer.writerow([i, repr(v)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
+
+
+def save_trace(trace: Trace, path: str | Path, value_header: str) -> None:
+    """Write a trace as CSV `step,<value_header>` with round-trip precision."""
+    write_csv(path, ["step", value_header], enumerate(trace.values))
 
 
 def load_trace(

@@ -1,9 +1,11 @@
 import csv
+import itertools
 import json
 
 import pytest
 
 from dpdispatch.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main
+
 
 def small_config(tmp_path, days=1):
     path = tmp_path / "cfg.yaml"
@@ -18,6 +20,34 @@ def small_config(tmp_path, days=1):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def drop_manifest_mpc(out):
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["config"]["mpc"]
+    path.write_text(json.dumps(manifest))
+
+
+def truncate(name, keep_lines=None):
+    """Cut a run file in half by bytes, or after `keep_lines` whole lines."""
+    def mutate(out):
+        path = out / name
+        data = path.read_bytes()
+        if keep_lines is None:
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            path.write_bytes(b"".join(data.splitlines(keepends=True)[:keep_lines]))
+    return mutate
+
+
+def edit_line(name, line_no, edit):
+    def mutate(out):
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line_no] = edit(lines[line_no])
+        path.write_text("".join(lines))
+    return mutate
 
 
 class TestNoiseCommand:
@@ -73,6 +103,20 @@ class TestSimulateCommand:
         assert rc == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
 
+    def test_tree_has_no_byte_copies(self, tmp_path):
+        out = tmp_path / "run"
+        main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])
+        entries = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+        assert entries == [
+            "flags.csv", "manifest.json", "noise.csv", "noise_histogram.csv",
+            "noise_moments.csv", "plots", "plots/net_reference.csv",
+            "plots/tracking_overlay.csv", "pv.csv", "results.csv", "summary.csv",
+            "temperatures.csv",
+        ]
+        files = {name: (out / name).read_bytes() for name in entries if name != "plots"}
+        for a, b in itertools.combinations(sorted(files), 2):
+            assert files[a] != files[b], f"{a} and {b} are byte-identical"
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
@@ -98,6 +142,31 @@ class TestReportCommand:
         rc = main(["report", "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert "results.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, named", [
+        (drop_manifest_mpc, "manifest.json"),
+        (truncate("manifest.json"), "manifest.json"),
+        (truncate("temperatures.csv", keep_lines=50), "temperatures.csv"),
+        (edit_line("temperatures.csv", 3, lambda line: line.rsplit(",", 1)[0] + "\n"),
+         "temperatures.csv"),
+        (truncate("results.csv", keep_lines=50), "results.csv"),
+        (truncate("results.csv"), "results.csv"),
+        (truncate("noise.csv", keep_lines=50), "noise.csv"),
+        (truncate("flags.csv"), "flags.csv"),
+        (edit_line("flags.csv", 5, lambda line: line.replace(",0,", ",x,", 1)), "flags.csv"),
+        (edit_line("results.csv", 0, lambda line: line.replace("agg_kw", "agg")), "results.csv"),
+    ], ids=[
+        "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
+        "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
+        "flags-truncated-bytes", "flags-non-numeric", "results-renamed-column",
+    ])
+    def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
+        out = tmp_path / "run"
+        main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])
+        mutate(out)
+        rc = main(["report", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
     def test_empty_directory_errors(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "missing")])

@@ -4,13 +4,15 @@ import pytest
 from dpdispatch.metrics import (
     RunReport,
     comfort_violation_count,
+    comfort_violations_per_step,
     noise_histogram,
     noise_moment_check,
     residual_vs_intended_noise,
     summarize,
     tracking_rmse,
 )
-from dpdispatch.privacy import DPParams, NoiseTrace, generate_noise_trace
+from dpdispatch.privacy import DPParams, generate_noise_trace
+from dpdispatch.traces import Trace
 
 
 def make_report(reference, aggregate, temps=None, pv=None, noise=None):
@@ -70,11 +72,12 @@ class TestComfortViolations:
     def test_counts_pairs(self):
         report = make_report([0.0, 0.0], [0.0, 0.0], temps=[[23.6, 23.7], [21.0, 23.0]])
         assert comfort_violation_count(report) == 3
+        assert comfort_violations_per_step(report).tolist() == [2, 1]
 
 
 class TestNoiseHistogram:
     def test_constant_trace_single_bin(self):
-        counts, _ = noise_histogram(NoiseTrace(values=(2.0,) * 10), n_bins=7)
+        counts, _ = noise_histogram(Trace(values=(2.0,) * 10, unit="kW", step_seconds=600), n_bins=7)
         assert counts.sum() == 10
         assert (counts > 0).sum() == 1
 
@@ -96,7 +99,7 @@ class TestNoiseHistogram:
 
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
-            noise_histogram(NoiseTrace(values=(1.0,)), n_bins=0)
+            noise_histogram(Trace(values=(1.0,), unit="kW", step_seconds=600), n_bins=0)
 
 
 class TestNoiseMoments:
@@ -107,7 +110,7 @@ class TestNoiseMoments:
         assert out["expected_variance"] == 200.0
 
     def test_single_element_undefined_variance(self):
-        out = noise_moment_check(NoiseTrace(values=(1.0,)), self.PARAMS)
+        out = noise_moment_check(Trace(values=(1.0,), unit="kW", step_seconds=600), self.PARAMS)
         assert not out["variance_defined"]
         assert out["variance"] is None
 

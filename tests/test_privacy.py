@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from dpdispatch.privacy import (
     DPParams,
-    NoiseTrace,
     compute_net_pv,
     density_ratio_bound_check,
     generate_noise_trace,
@@ -14,9 +13,8 @@ from dpdispatch.privacy import (
     laplace_scale,
     mechanism_expected_squared_error,
     sample_laplace,
-    save_noise_trace,
 )
-from dpdispatch.traces import Trace
+from dpdispatch.traces import Trace, save_trace
 
 
 class TestDPParams:
@@ -107,7 +105,9 @@ class TestGenerateNoiseTrace:
     PARAMS = DPParams(epsilon=0.1, sensitivity=1.0, seed=99)
 
     def test_length(self):
-        assert len(generate_noise_trace(self.PARAMS, 432)) == 432
+        trace = generate_noise_trace(self.PARAMS, 432)
+        assert len(trace) == 432
+        assert trace.unit == "kW"
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
@@ -135,28 +135,32 @@ class TestComputeNetPv:
         return Trace(values=tuple(values), unit="kW", step_seconds=600)
 
     def test_direct_subtraction(self):
-        net = compute_net_pv(self._pv([5.0]), NoiseTrace(values=(1.2,)))
+        net = compute_net_pv(self._pv([5.0]), Trace(values=(1.2,), unit="kW", step_seconds=600))
         assert net.values == (5.0 - 1.2,)
 
     def test_zero_noise_identity(self):
         pv = self._pv([1.0, 2.0, 3.0])
-        net = compute_net_pv(pv, NoiseTrace(values=(0.0, 0.0, 0.0)))
+        net = compute_net_pv(pv, Trace(values=(0.0, 0.0, 0.0), unit="kW", step_seconds=600))
         assert net.values == pv.values
 
     def test_negative_values_preserved(self):
-        net = compute_net_pv(self._pv([0.5]), NoiseTrace(values=(1.0,)))
+        net = compute_net_pv(self._pv([0.5]), Trace(values=(1.0,), unit="kW", step_seconds=600))
         assert net.values == (-0.5,)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compute_net_pv(self._pv([1.0, 2.0]), NoiseTrace(values=(1.0,)))
+            compute_net_pv(self._pv([1.0, 2.0]), Trace(values=(1.0,), unit="kW", step_seconds=600))
+
+    def test_unit_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            compute_net_pv(self._pv([1.0]), Trace(values=(1.0,), unit="degC", step_seconds=600))
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30))
     def test_adding_noise_back_inverts(self, noise_vals):
         # algebraic identity; float subtraction then addition can round by
         # one ulp at the result's magnitude
         pv = self._pv([7.5] * len(noise_vals))
-        net = compute_net_pv(pv, NoiseTrace(values=tuple(noise_vals)))
+        net = compute_net_pv(pv, Trace(values=tuple(noise_vals), unit="kW", step_seconds=600))
         for n, d, p in zip(net.values, noise_vals, pv.values):
             assert n + d == pytest.approx(p, rel=1e-12, abs=1e-12)
 
@@ -204,7 +208,7 @@ class TestNoiseCsv:
     def test_header_and_precision(self, tmp_path):
         trace = generate_noise_trace(DPParams(epsilon=0.1, seed=5), 10)
         path = tmp_path / "noise.csv"
-        save_noise_trace(trace, path)
+        save_trace(trace, path, "noise_kw")
         lines = path.read_text().splitlines()
         assert lines[0] == "step,noise_kw"
         assert len(lines) == 11
