@@ -123,9 +123,13 @@ def aggregate_power(schedule: Schedule, k: int, p_rates: Sequence[float]) -> flo
     """Fleet draw z(k) = sum_j u_j(k) * p_rate_j; p_rate = 1 gives the bare count."""
     if not (0 <= k < schedule.n_steps):
         raise IndexError(f"step {k} outside schedule with {schedule.n_steps} columns")
+    # Float sums stay sequential left-to-right loops: np.dot, np.sum and
+    # sum() (compensated from Python 3.12) may round differently, and the
+    # outputs must stay bit-identical for any p_rate.
+    col = schedule.u[:, k].tolist()
     z = 0.0
     for j in range(schedule.n_buildings):
-        z += schedule.u[j, k] * p_rates[j]
+        z += col[j] * p_rates[j]
     return z
 
 
@@ -133,21 +137,21 @@ def predict_trajectories(
     problem: DispatchProblem, schedule: Schedule, n_steps: int
 ) -> np.ndarray:
     """Predicted temperatures (n_buildings, n_steps) under a schedule."""
-    n_b = problem.n_buildings
-    temps = np.empty((n_b, n_steps))
-    for j in range(n_b):
+    u_rows = schedule.u.tolist()
+    t_out = problem.disturbance_forecast.t_out
+    q_solar = problem.disturbance_forecast.q_solar
+    rows = []
+    for j in range(problem.n_buildings):
         m = problem.models[j]
+        u_j = u_rows[j]
         x = problem.init_states[j].temp
+        row = []
+        # indexing, not zip: too few columns or forecast steps raise IndexError
         for k in range(n_steps):
-            x = predict_temp(
-                m,
-                x,
-                int(schedule.u[j, k]),
-                problem.disturbance_forecast.t_out[k],
-                problem.disturbance_forecast.q_solar[k],
-            )
-            temps[j, k] = x
-    return temps
+            x = predict_temp(m, x, u_j[k], t_out[k], q_solar[k])
+            row.append(x)
+        rows.append(row)
+    return np.array(rows)
 
 
 def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> float:
@@ -160,30 +164,26 @@ def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> flo
     if schedule.n_buildings != problem.n_buildings or schedule.n_steps < n_p:
         raise ValueError("schedule dimensions inconsistent with problem")
     p_rates = [m.p_rate for m in problem.models]
-    temps = predict_trajectories(problem, schedule, n_p)
+    temps_by_step = predict_trajectories(problem, schedule, n_p).T.tolist()
     j_total = 0.0
     for k in range(n_p):
         z = aggregate_power(schedule, k, p_rates)
         track = config.weight_q * (z - problem.reference[k]) ** 2
         e_sum = 0.0
-        for i in range(problem.n_buildings):
-            e = temps[i, k] - config.setpoint_xr
+        for t in temps_by_step[k]:
+            e = t - config.setpoint_xr
             e_sum += e * e
         j_total += track + config.weight_r * e_sum
     return j_total
 
 
 def _violations_from_temps(temps: np.ndarray, config: MPCConfig):
-    out = []
-    n_b, n_k = temps.shape
-    for j in range(n_b):
-        for k in range(n_k):
-            t = temps[j, k]
-            if t > config.comfort_max + COMFORT_TOL:
-                out.append((j, k, t - config.comfort_max))
-            elif t < config.comfort_min - COMFORT_TOL:
-                out.append((j, k, config.comfort_min - t))
-    return tuple(out)
+    """(building, step, overshoot) in row-major order, as np.nonzero walks."""
+    over = temps > config.comfort_max + COMFORT_TOL
+    under = temps < config.comfort_min - COMFORT_TOL
+    js, ks = np.nonzero(over | under)
+    overshoot = np.where(over, temps - config.comfort_max, config.comfort_min - temps)
+    return tuple(zip(js.tolist(), ks.tolist(), overshoot[js, ks].tolist()))
 
 
 def _result_from_schedule(
@@ -356,18 +356,20 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
     """
     n_p = _effective_horizon(problem, config)
     n_b = problem.n_buildings
+    models = problem.models
+    p_rates = [m.p_rate for m in models]
     u = np.zeros((n_b, n_p), dtype=np.int8)
     temps = [s.temp for s in problem.init_states]
     any_infeasible = False
 
     for k in range(n_p):
         v = (problem.disturbance_forecast.t_out[k], problem.disturbance_forecast.q_solar[k])
-        must_on, must_off, free, infeasible = classify_step(problem.models, temps, v, config)
+        must_on, must_off, free, infeasible = classify_step(models, temps, v, config)
         any_infeasible = any_infeasible or infeasible
-        forced_kw = sum(problem.models[j].p_rate for j in must_on)
+        forced_kw = sum(p_rates[j] for j in must_on)
         residual = problem.reference[k] - forced_kw
         if free:
-            mean_rate = sum(problem.models[j].p_rate for j in free) / len(free)
+            mean_rate = sum(p_rates[j] for j in free) / len(free)
             target = int(np.floor(residual / mean_rate + 0.5))  # round-half-up
             target = max(0, min(len(free), target))
         else:
@@ -375,10 +377,9 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
         # hottest free units first: largest headroom above comfort_min
         ranked = sorted(free, key=lambda j: (-(temps[j] - config.comfort_min), j))
         on_set = set(must_on) | set(ranked[:target])
-        for j in range(n_b):
-            uj = 1 if j in on_set else 0
-            u[j, k] = uj
-            temps[j] = predict_temp(problem.models[j], temps[j], uj, v[0], v[1])
+        col = [1 if j in on_set else 0 for j in range(n_b)]
+        u[:, k] = col
+        temps = [predict_temp(m, x, uj, v[0], v[1]) for m, x, uj in zip(models, temps, col)]
 
     return _result_from_schedule(problem, u, config, infeasible=any_infeasible)
 
@@ -453,17 +454,17 @@ def receding_horizon_run(
         if infeasible or result.infeasible:
             infeasible_steps.append(t)
 
-        first_col = result.schedule.u[:, 0]
+        first_col = result.schedule.u[:, 0].tolist()
         z = 0.0
         for j in range(n_b):
-            uj = int(first_col[j])
+            uj = first_col[j]
             states[j] = BuildingState(
                 temp=predict_temp(models[j], states[j].temp, uj, v[0], v[1]), mode=uj
             )
-            temps_hist[j, t] = states[j].temp
             z += uj * p_rates[j]
+        temps_hist[:, t] = [s.temp for s in states]
         agg.append(z)
-        n_on.append(int(first_col.sum()))
+        n_on.append(sum(first_col))
 
     if noise_kw is None:
         noise_kw = tuple(0.0 for _ in range(n_steps))

@@ -33,10 +33,11 @@ class Trace:
             raise TraceError("step_seconds must be positive")
         if self.unit not in VALID_UNITS:
             raise TraceError(f"unknown unit {self.unit!r}, expected one of {VALID_UNITS}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for i, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise TraceError(f"non-finite value at step {i}")
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        if not all(map(math.isfinite, values)):
+            first_bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise TraceError(f"non-finite value at step {first_bad}")
 
     def __len__(self) -> int:
         return len(self.values)

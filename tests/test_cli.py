@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 
@@ -121,6 +122,49 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
+
+
+class TestPinnedDigests:
+    """Gate files of two fixed scenarios, byte for byte.
+
+    Rerunning one build only shows that a build is deterministic; these
+    digests also catch a change that moves a byte between builds. The
+    non-integer p_rate makes the fleet sums inexact, so a change of
+    summation order shows.
+    """
+
+    CASES = {
+        "greedy_50": (
+            "n_buildings: 50\nseed: 7\nbuildings:\n  jitter: 0.1\n  p_rate: 4.3\n"
+            "traces:\n  pv_peak_kw: 550.0\n",
+            [],
+            {
+                "results.csv": "ca77227af5ebd45e0fd21d175ec10850523763f7627672e3092edae123af485c",
+                "flags.csv": "f6a92a905e916ebe1e201ef5d5b0e7c3652a960c8d06d27420dde25c367f21a3",
+                "summary.csv": "afc5b6d9057509e8e6f320dbc1109ac08fa50421ab1c330fcde811adc0649f98",
+            },
+        ),
+        "exact_2x4": (
+            "n_buildings: 2\nseed: 7\nbuildings:\n  jitter: 0.1\n  p_rate: 4.3\n"
+            "traces:\n  days: 1\n  pv_peak_kw: 22.0\n",
+            ["--solver", "exact", "--horizon", "4"],
+            {
+                "results.csv": "bf8379a83e81da4a4d321e89b94675a4d01e9b7f49f543440b198d92f15c54ae",
+                "flags.csv": "775ec92b9f5932b71eaa54d6b49408df03fe793a5c66710dad7fb116c3097126",
+                "summary.csv": "ed15be73cc702969ac76f8b588eb3e38f76b0810a12369d2a9bec678245235d7",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_gate_files(self, tmp_path, name):
+        text, extra, digests = self.CASES[name]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)] + extra) == EXIT_OK
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+        assert got == digests
 
 
 class TestReportCommand:

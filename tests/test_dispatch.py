@@ -11,6 +11,7 @@ from dpdispatch.dispatch import (
     aggregate_power,
     cost,
     enforce_comfort,
+    predict_trajectories,
     receding_horizon_run,
     solve_exact,
     solve_priority_heuristic,
@@ -246,6 +247,102 @@ class TestPriorityHeuristic:
         problem, config = random_instance(rng)
         result = solve_priority_heuristic(problem, config)
         assert result.cost == cost(problem, result.schedule, config)
+
+
+def scalar_reference(problem, schedule, config):
+    """Aggregate, cost, error and violations by per-element scalar loops.
+
+    Reads the schedule and temperatures one numpy element at a time and
+    accumulates every float sum left to right. A solver's result must match
+    it to the bit, whatever the ratings.
+    """
+    n_b, n_p = problem.n_buildings, schedule.n_steps
+    p_rates = [m.p_rate for m in problem.models]
+    temps = np.empty((n_b, n_p))
+    for j in range(n_b):
+        m = problem.models[j]
+        x = problem.init_states[j].temp
+        for k in range(n_p):
+            x = (
+                m.a_d * x
+                + m.b_d * int(schedule.u[j, k])
+                + m.g_d_temp * problem.disturbance_forecast.t_out[k]
+                + m.g_d_solar * problem.disturbance_forecast.q_solar[k]
+            )
+            temps[j, k] = x
+    aggregate = []
+    for k in range(n_p):
+        z = 0.0
+        for j in range(n_b):
+            z += schedule.u[j, k] * p_rates[j]
+        aggregate.append(z)
+    total = 0.0
+    for k in range(n_p):
+        e_sum = 0.0
+        for j in range(n_b):
+            e = temps[j, k] - config.setpoint_xr
+            e_sum += e * e
+        total += config.weight_q * (aggregate[k] - problem.reference[k]) ** 2 + config.weight_r * e_sum
+    violations = []
+    for j in range(n_b):
+        for k in range(n_p):
+            t = temps[j, k]
+            if t > config.comfort_max + COMFORT_TOL:
+                violations.append((j, k, t - config.comfort_max))
+            elif t < config.comfort_min - COMFORT_TOL:
+                violations.append((j, k, config.comfort_min - t))
+    return tuple(aggregate), total, temps - config.setpoint_xr, tuple(violations)
+
+
+class TestScalarReference:
+    """The solver bookkeeping matches per-element scalar loops bit for bit."""
+
+    P_RATES = (3.7, 5.1, 4.3, 6.05)
+    # both sides of the 22.5-23.5 band, so violations run in both directions
+    START = (
+        21.5, 24.6, 22.3, 23.8, 23.0, 22.6, 24.2, 21.9,
+        21.537, 24.637, 22.337, 23.837, 23.037, 22.637, 24.237, 21.937,
+    )
+
+    def _problem(self, reference):
+        models = [
+            make_model(
+                a_d=0.9 + 0.01 * (j % 8), b_d=-0.7 - 0.07 * (j % 8), g_t=0.06 + 0.005 * (j % 8),
+                g_s=0.03, p_rate=self.P_RATES[j % len(self.P_RATES)],
+            )
+            for j in range(len(self.START))
+        ]
+        return make_problem(models, self.START, reference, t_out=28.0, q_solar=0.4)
+
+    # weight_q = 0 leaves the comfort sums alone in the cost, so a change in
+    # their summation order is not hidden by the larger tracking terms
+    @pytest.mark.parametrize("weight_q, weight_r", [(1.0, 10.0), (0.0, 1.0)])
+    def test_priority_heuristic_matches_scalar_loops(self, weight_q, weight_r):
+        problem = self._problem([7.3, 12.9, 3.1, 18.45, 9.99, 0.7])
+        config = MPCConfig(horizon_np=6, weight_q=weight_q, weight_r=weight_r)
+        result = solve_priority_heuristic(problem, config)
+        aggregate, total, error, violations = scalar_reference(problem, result.schedule, config)
+        assert {np.sign(error[j, k]) for j, k, _ in violations} == {-1.0, 1.0}
+        assert len({k for _, k, _ in violations}) > 1
+        assert result.aggregate_kw == aggregate
+        assert result.cost == total
+        assert cost(problem, result.schedule, config) == total
+        assert result.violations == violations
+        assert (result.per_building_error == error).all()
+        for k in range(result.schedule.n_steps):
+            assert aggregate_power(result.schedule, k, self.P_RATES * 4) == aggregate[k]
+
+    def test_too_few_schedule_columns(self):
+        problem = self._problem([1.0, 2.0, 3.0])
+        sched = Schedule(u=np.zeros((len(self.START), 2), dtype=int))
+        with pytest.raises(IndexError):
+            predict_trajectories(problem, sched, 3)
+
+    def test_too_short_forecast(self):
+        problem = self._problem([1.0, 2.0, 3.0])
+        sched = Schedule(u=np.zeros((len(self.START), 4), dtype=int))
+        with pytest.raises(IndexError):
+            predict_trajectories(problem, sched, 4)
 
 
 class TestEnforceComfort:

@@ -32,6 +32,11 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="row 17"):
             load_trace(path, "kW", 600)
 
+    def test_trace_names_first_non_finite_step(self):
+        values = [1.0, 2.0, 3.0, float("inf"), 5.0, float("nan")]
+        with pytest.raises(TraceError, match="step 3$"):
+            Trace(values=values, unit="kW", step_seconds=600)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
