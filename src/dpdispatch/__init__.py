@@ -34,7 +34,6 @@ from dpdispatch.dispatch import (
     SolverGuardError,
     aggregate_power,
     cost,
-    enforce_comfort,
     receding_horizon_run,
     solve_exact,
     solve_priority_heuristic,

@@ -3,7 +3,7 @@
 Subcommands:
   noise     generate the privacy noise trace plus histogram and moment checks
   simulate  full pipeline: noise -> net reference -> receding-horizon dispatch
-  report    regenerate summary and plot data from a stored run directory
+  report    regenerate summary.csv from a stored run directory
 
 Exit codes: 0 success, 1 config/IO error, 2 exact-solver guard, 3 comfort
 infeasibility under --strict.
@@ -12,19 +12,17 @@ infeasibility under --strict.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from dpdispatch import metrics
 from dpdispatch.dispatch import SolverGuardError, receding_horizon_run
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
-from dpdispatch.scenario import ConfigError, ScenarioConfig, build_simulation, config_as_dict, load_config
-from dpdispatch.traces import Trace, TraceError, save_trace, write_csv
+from dpdispatch.scenario import ConfigError, ScenarioConfig, build_simulation, load_config
+from dpdispatch.traces import Trace, TraceError, read_table, save_trace, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,16 +36,12 @@ FLAGS_HEADER = ["step", "ref_unclamped_kw", "ref_clamped", "target_clipped",
                 "must_on_kw", "free_kw", "infeasible"]
 
 
-def _write_summary(path: Path, summary: dict) -> None:
-    write_csv(path, list(summary.keys()), [list(summary.values())])
-
-
 def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     return {
         "tool": "dpdispatch",
         "subcommand": args.command,
         "solver": getattr(args, "solver", None),
-        "config": config_as_dict(cfg),
+        "config": dataclasses.asdict(cfg),
     }
 
 
@@ -116,20 +110,8 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
         ],
     )
     summary = metrics.summarize(report, band=band)
-    _write_summary(out / "summary.csv", summary)
-    _emit_plot_files(report, out)
+    write_csv(out / "summary.csv", list(summary), [list(summary.values())])
     return summary
-
-
-def _emit_plot_files(report: RunReport, out: Path) -> None:
-    """The plot series that no top-level file already holds."""
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    write_csv(plots / "net_reference.csv", ["step", "net_pv_kw"],
-              [(k, v) for k, v in enumerate(report.reference_kw)])
-    write_csv(plots / "tracking_overlay.csv", ["step", "ref_kw", "agg_kw"],
-              [(k, report.reference_kw[k], report.aggregate_kw[k])
-               for k in range(report.n_steps)])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -162,46 +144,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_table(
-    path: Path, header: list[str] | None = None, n_rows: int | None = None
-) -> tuple[list[str], np.ndarray]:
-    """A numeric run CSV as (header, one float row per data line).
-
-    Refuses, naming the file, a header other than `header` when one is
-    given, a row whose cell count differs from the header's, a row count
-    other than `n_rows` when one is given, and cells that are not numbers.
-    """
-    if not path.exists():
-        raise TraceError(f"missing run file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    if header is not None and found != header:
-        raise TraceError(f"{path}: expected header {header}, got {found}")
-    if not rows:
-        raise TraceError(f"{path}: no data rows")
-    for rownum, row in enumerate(rows, start=1):
-        if len(row) != len(found):
-            raise TraceError(f"{path}: row {rownum} has {len(row)} cells, header has {len(found)}")
-    if n_rows is not None and len(rows) != n_rows:
-        raise TraceError(f"{path}: {len(rows)} data rows, results.csv has {n_rows}")
-    try:
-        return found, np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise TraceError(f"{path}: {exc}") from None
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not out.is_dir():
         raise ConfigError(f"run directory not found: {out}")
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
-        raise TraceError(f"missing run file: {manifest_path}")
+        raise TraceError(f"file not found: {manifest_path}")
     try:
         config = json.loads(manifest_path.read_text())["config"]
         band = (config["mpc"]["comfort_min"], config["mpc"]["comfort_max"])
@@ -209,12 +158,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest: {exc!r}") from None
 
-    _, results = _read_table(out / "results.csv", RESULTS_HEADER)
-    n_steps = len(results)
-    _, pv = _read_table(out / "pv.csv", ["step", "pv_kw"], n_steps)
-    _, noise = _read_table(out / "noise.csv", ["step", "noise_kw"], n_steps)
-    temp_header, temps = _read_table(out / "temperatures.csv", n_rows=n_steps)
-    _, flags = _read_table(out / "flags.csv", FLAGS_HEADER, n_steps)
+    _, results = read_table(out / "results.csv", RESULTS_HEADER)
+    _, pv = read_table(out / "pv.csv", ["step", "pv_kw"])
+    _, noise = read_table(out / "noise.csv", ["step", "noise_kw"])
+    temp_header, temps = read_table(out / "temperatures.csv")
+    _, flags = read_table(out / "flags.csv", FLAGS_HEADER)
+    for name, table in (("pv.csv", pv), ("noise.csv", noise), ("temperatures.csv", temps),
+                        ("flags.csv", flags)):
+        if len(table) != len(results):
+            raise TraceError(
+                f"{out / name}: {len(table)} data rows, results.csv has {len(results)}"
+            )
 
     n_b = len(temp_header) - 1
     report = RunReport(
@@ -233,8 +187,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         infeasible_steps=tuple(flags[flags[:, 6] != 0, 0].astype(int).tolist()),
     )
     summary = metrics.summarize(report, band=band)
-    _write_summary(out / "summary.csv", summary)
-    _emit_plot_files(report, out)
+    write_csv(out / "summary.csv", list(summary), [list(summary.values())])
     print(
         f"report regenerated for {report.n_steps} steps x {n_b} buildings: "
         f"rmse={summary['tracking_rmse_kw']:.4f} kW, violations={summary['comfort_violations']}"
@@ -278,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim, with_solver=True)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_rep = sub.add_parser("report", help="regenerate summary/plots from a run directory")
+    p_rep = sub.add_parser("report", help="regenerate summary.csv from a run directory")
     p_rep.add_argument("--out", type=str, required=True, help="existing run directory")
     p_rep.set_defaults(func=cmd_report)
 

@@ -311,20 +311,6 @@ def _comfort_classify(
     return None, False
 
 
-def enforce_comfort(
-    model: DiscreteThermalModel,
-    state: BuildingState,
-    disturbance: tuple[float, float],
-    candidate_u: int,
-    config: MPCConfig = MPCConfig(),
-) -> int:
-    """Override a candidate mode when the comfort band forces the hand."""
-    if candidate_u not in (0, 1):
-        raise ValueError("candidate_u must be binary")
-    forced, _ = _comfort_classify(model, state.temp, disturbance, config)
-    return candidate_u if forced is None else forced
-
-
 def classify_step(
     models: Sequence[DiscreteThermalModel],
     temps: Sequence[float],

@@ -42,10 +42,6 @@ class DPParams:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
     @property
-    def scale(self) -> float:
-        return laplace_scale(self)
-
-    @property
     def delta_is_slack(self) -> bool:
         """Laplace gives (epsilon, 0)-DP, so any delta > 0 is pure slack."""
         return self.delta > 0.0
@@ -98,7 +94,7 @@ def compute_net_pv(pv: Trace, noise: Trace) -> Trace:
     if pv.unit != noise.unit:
         raise ValueError(f"unit mismatch: pv in {pv.unit}, noise in {noise.unit}")
     net = tuple(p - n for p, n in zip(pv.values, noise.values))
-    return Trace(values=net, unit="kW", step_seconds=pv.step_seconds, start_label=pv.start_label)
+    return Trace(values=net, unit="kW", step_seconds=pv.step_seconds)
 
 
 def density_ratio_bound_check(params: DPParams, x: float, shift: float) -> bool:

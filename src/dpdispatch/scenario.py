@@ -24,7 +24,7 @@ from dpdispatch.thermal import (
     DisturbanceTrace,
     discretize,
 )
-from dpdispatch.traces import Trace, load_trace
+from dpdispatch.traces import Trace, TraceError, load_trace, read_table
 
 SECONDS_PER_DAY = 86400
 
@@ -59,7 +59,7 @@ class TraceSources:
 class ScenarioConfig:
     n_buildings: int = 100
     seed: int = 20260826
-    dp: DPParams = field(default_factory=lambda: DPParams(epsilon=0.1, sensitivity=1.0, seed=0))
+    dp: DPParams = field(default_factory=lambda: DPParams(epsilon=0.1))
     mpc: MPCConfig = field(default_factory=MPCConfig)
     buildings: BuildingParams = field(default_factory=BuildingParams)
     traces: TraceSources = field(default_factory=TraceSources)
@@ -118,14 +118,14 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         dp_kwargs = section("dp")
         if "epsilon" in overrides:
             dp_kwargs["epsilon"] = overrides["epsilon"]
-        dp_kwargs.setdefault("epsilon", 0.1)
-        dp_kwargs.setdefault("sensitivity", 1.0)
+        dp_kwargs.setdefault("epsilon", ScenarioConfig().dp.epsilon)
         dp_kwargs.setdefault("seed", _sub_seed(top_seed, _STREAM_NOISE))
         mpc_kwargs = section("mpc")
         if "horizon" in overrides:
             mpc_kwargs["horizon_np"] = overrides["horizon"]
+        n_buildings = overrides.get("n_buildings", raw.get("n_buildings", ScenarioConfig.n_buildings))
         cfg = ScenarioConfig(
-            n_buildings=int(overrides.get("n_buildings", raw.get("n_buildings", 100))),
+            n_buildings=int(n_buildings),
             seed=top_seed,
             dp=DPParams(**dp_kwargs),
             mpc=MPCConfig(**mpc_kwargs),
@@ -137,30 +137,6 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
-
-
-def config_as_dict(cfg: ScenarioConfig) -> dict:
-    """Fully resolved configuration, suitable for the run manifest."""
-    return {
-        "n_buildings": cfg.n_buildings,
-        "seed": cfg.seed,
-        "dp": {
-            "epsilon": cfg.dp.epsilon,
-            "sensitivity": cfg.dp.sensitivity,
-            "delta": cfg.dp.delta,
-            "seed": cfg.dp.seed,
-        },
-        "mpc": {
-            "horizon_np": cfg.mpc.horizon_np,
-            "weight_q": cfg.mpc.weight_q,
-            "weight_r": cfg.mpc.weight_r,
-            "setpoint_xr": cfg.mpc.setpoint_xr,
-            "comfort_min": cfg.mpc.comfort_min,
-            "comfort_max": cfg.mpc.comfort_max,
-        },
-        "buildings": vars(cfg.buildings).copy(),
-        "traces": vars(cfg.traces).copy(),
-    }
 
 
 def synth_pv(
@@ -235,8 +211,14 @@ def build_simulation(
             _sub_seed(config.seed, _STREAM_PV),
         )
     if tr.weather_csv is not None:
-        t_out = load_trace(tr.weather_csv, "degC", tr.step_seconds, value_column="t_out_c")
-        q_solar_vals = _load_q_solar(tr.weather_csv, tr.step_seconds)
+        header, weather = read_table(tr.weather_csv)
+        if not {"t_out_c", "q_solar_kw_m2"} <= set(header):
+            raise TraceError(
+                f"{tr.weather_csv}: expected columns t_out_c and q_solar_kw_m2, got {header}"
+            )
+        t_out = Trace(values=weather[:, header.index("t_out_c")].tolist(), unit="degC",
+                      step_seconds=tr.step_seconds)
+        q_solar_vals = weather[:, header.index("q_solar_kw_m2")].tolist()
     else:
         t_out = synth_weather(
             tr.days, tr.step_seconds, tr.weather_mean_c, tr.weather_swing_c,
@@ -272,9 +254,3 @@ def build_simulation(
         for _ in range(config.n_buildings)
     ]
     return models, init_states, disturbances, pv
-
-
-def _load_q_solar(path: str | Path, step_seconds: int) -> tuple[float, ...]:
-    """Pull the q_solar_kw_m2 column from a disturbance CSV."""
-    trace = load_trace(path, "kW/m2", step_seconds, value_column="q_solar_kw_m2")
-    return trace.values

@@ -10,6 +10,9 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+
 VALID_UNITS = ("kW", "degC", "kW/m2")
 
 
@@ -24,7 +27,6 @@ class Trace:
     values: tuple[float, ...]
     unit: str
     step_seconds: int
-    start_label: str = "t0"
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -61,50 +63,69 @@ def save_trace(trace: Trace, path: str | Path, value_header: str) -> None:
     write_csv(path, ["step", value_header], enumerate(trace.values))
 
 
+def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[str], np.ndarray]:
+    """A numeric `step,...` CSV as (header, one float row per data line).
+
+    Refuses, naming the file, a missing or empty file, a first column other
+    than `step`, and a header other than `header` when one is given; and,
+    naming the file and the row (data rows count from 1), a row whose cell
+    count differs from the header's, a cell that is not a finite number, and
+    steps other than 0, 1, 2, ...
+    """
+    path = Path(path)
+    if not path.exists():
+        raise TraceError(f"file not found: {path}")
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader)
+        except StopIteration:
+            raise TraceError(f"{path}: empty file") from None
+        rows = [row for row in reader if row]
+    if found[:1] != ["step"]:
+        raise TraceError(f"{path}: expected a header starting with 'step', got {found}")
+    if header is not None and found != header:
+        raise TraceError(f"{path}: expected header {header}, got {found}")
+    if not rows:
+        raise TraceError(f"{path}: no data rows")
+    for rownum, row in enumerate(rows, start=1):
+        if len(row) != len(found):
+            raise TraceError(f"{path}: row {rownum} has {len(row)} cells, header has {len(found)}")
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError:
+        for rownum, row in enumerate(rows, start=1):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise TraceError(f"{path}: row {rownum}: {exc}") from None
+        raise
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise TraceError(f"{path}: non-finite value at row {int(np.argmin(finite)) + 1}")
+    expected = np.arange(len(table))
+    if not np.array_equal(table[:, 0], expected):
+        k = int(np.argmax(table[:, 0] != expected))
+        raise TraceError(
+            f"{path}: gap or reorder at row {k + 1}: step {rows[k][0]}, expected {k}"
+        )
+    return found, table
+
+
 def load_trace(
     path: str | Path,
     expected_unit: str,
     expected_step_seconds: int,
     value_column: str | None = None,
 ) -> Trace:
-    """Load and validate a `step,value` CSV into a Trace.
-
-    Rejects NaN/inf values (naming the offending row), missing or
-    out-of-order step indices, and empty files.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "step":
-            raise TraceError(f"{path}: expected header 'step,<value>', got {header}")
-        if value_column is not None:
-            if value_column not in header:
-                raise TraceError(f"{path}: missing column {value_column!r}")
-            col = header.index(value_column)
-        else:
-            col = 1
-        values: list[float] = []
-        for rownum, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                step_idx = int(row[0])
-                v = float(row[col])
-            except (ValueError, IndexError) as exc:
-                raise TraceError(f"{path}: parse error at row {rownum}: {exc}") from None
-            if step_idx != len(values):
-                raise TraceError(
-                    f"{path}: gap or reorder at row {rownum}: step {step_idx}, expected {len(values)}"
-                )
-            if not math.isfinite(v):
-                raise TraceError(f"{path}: non-finite value at row {rownum}")
-            values.append(v)
-    if not values:
-        raise TraceError(f"{path}: no data rows")
-    return Trace(values=tuple(values), unit=expected_unit, step_seconds=expected_step_seconds)
+    """One column of a `step,...` CSV (by default the second) as a Trace."""
+    header, table = read_table(path)
+    if value_column is None:
+        value_column = header[1] if len(header) > 1 else "<value>"
+    if value_column not in header[1:]:
+        raise TraceError(f"{path}: missing column {value_column!r}, header is {header}")
+    return Trace(
+        values=table[:, header.index(value_column)].tolist(),
+        unit=expected_unit,
+        step_seconds=expected_step_seconds,
+    )

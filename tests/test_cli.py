@@ -51,6 +51,14 @@ def edit_line(name, line_no, edit):
     return mutate
 
 
+def set_cell(name, line_no, col, value):
+    def edit(line):
+        cells = line.rstrip("\r\n").split(",")
+        cells[col] = value
+        return ",".join(cells) + "\n"
+    return edit_line(name, line_no, edit)
+
+
 class TestNoiseCommand:
     def test_writes_432_row_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -110,11 +118,9 @@ class TestSimulateCommand:
         entries = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
         assert entries == [
             "flags.csv", "manifest.json", "noise.csv", "noise_histogram.csv",
-            "noise_moments.csv", "plots", "plots/net_reference.csv",
-            "plots/tracking_overlay.csv", "pv.csv", "results.csv", "summary.csv",
-            "temperatures.csv",
+            "noise_moments.csv", "pv.csv", "results.csv", "summary.csv", "temperatures.csv",
         ]
-        files = {name: (out / name).read_bytes() for name in entries if name != "plots"}
+        files = {name: (out / name).read_bytes() for name in entries}
         for a, b in itertools.combinations(sorted(files), 2):
             assert files[a] != files[b], f"{a} and {b} are byte-identical"
 
@@ -172,12 +178,10 @@ class TestReportCommand:
         out = tmp_path / "run"
         main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])
         before = (out / "summary.csv").read_bytes()
-        tracking_before = (out / "plots" / "tracking_overlay.csv").read_bytes()
         (out / "summary.csv").unlink()
         rc = main(["report", "--out", str(out)])
         assert rc == EXIT_OK
         assert (out / "summary.csv").read_bytes() == before
-        assert (out / "plots" / "tracking_overlay.csv").read_bytes() == tracking_before
 
     def test_missing_detail_named(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -199,10 +203,13 @@ class TestReportCommand:
         (truncate("flags.csv"), "flags.csv"),
         (edit_line("flags.csv", 5, lambda line: line.replace(",0,", ",x,", 1)), "flags.csv"),
         (edit_line("results.csv", 0, lambda line: line.replace("agg_kw", "agg")), "results.csv"),
+        (set_cell("results.csv", 5, 1, "nan"), "results.csv: non-finite value at row 5"),
+        (set_cell("pv.csv", 10, 0, "10"), "pv.csv: gap or reorder at row 10"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
         "flags-truncated-bytes", "flags-non-numeric", "results-renamed-column",
+        "results-nan-cell", "pv-step-gap",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"

@@ -9,8 +9,8 @@ from dpdispatch.dispatch import (
     Schedule,
     SolverGuardError,
     aggregate_power,
+    classify_step,
     cost,
-    enforce_comfort,
     predict_trajectories,
     receding_horizon_run,
     solve_exact,
@@ -345,27 +345,22 @@ class TestScalarReference:
             predict_trajectories(problem, sched, 4)
 
 
-class TestEnforceComfort:
-    CONFIG = MPCConfig()
+class TestClassifyStep:
+    """One building's (must-ON, must-OFF, free, infeasible) split."""
 
-    def test_must_on_override(self):
+    def classify(self, temp, t_out):
+        return classify_step([make_model()], [temp], (t_out, 0.0), MPCConfig())
+
+    def test_must_on(self):
         # OFF prediction 23.56 > 23.5 forces ON
-        m = make_model()
-        assert enforce_comfort(m, BuildingState(temp=23.0), (30.0, 0.0), 0, self.CONFIG) == 1
+        assert self.classify(23.0, 30.0) == ([0], [], [], False)
 
-    def test_must_off_override(self):
+    def test_must_off(self):
         # ON prediction below 22.5 forces OFF
-        m = make_model()
-        assert enforce_comfort(m, BuildingState(temp=22.6), (28.0, 0.0), 1, self.CONFIG) == 0
+        assert self.classify(22.6, 28.0) == ([], [0], [], False)
 
-    def test_pass_through_in_band(self):
-        m = make_model()
-        assert enforce_comfort(m, BuildingState(temp=23.0), (29.0, 0.0), 1, self.CONFIG) == 1
-        assert enforce_comfort(m, BuildingState(temp=23.0), (29.0, 0.0), 0, self.CONFIG) == 0
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            enforce_comfort(make_model(), BuildingState(temp=23.0), (30.0, 0.0), 2, self.CONFIG)
+    def test_free_in_band(self):
+        assert self.classify(23.0, 29.0) == ([], [], [0], False)
 
 
 class TestRecedingHorizon:

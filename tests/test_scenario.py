@@ -1,12 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from dpdispatch.cli import main
 from dpdispatch.scenario import (
     BuildingParams,
     ConfigError,
     ScenarioConfig,
     build_simulation,
-    config_as_dict,
     load_config,
     synth_pv,
     synth_weather,
@@ -41,6 +44,13 @@ class TestLoadTrace:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(TraceError):
+            load_trace(path, "kW", 600)
+
+    @pytest.mark.parametrize("row", ["5,1.0,2.0", "5,1.0,"])
+    def test_extra_cell_names_row(self, tmp_path, row):
+        rows = [f"{i},1.0" for i in range(5)] + [row] + ["6,1.0"]
+        path = self._write(tmp_path, rows)
+        with pytest.raises(TraceError, match="row 6 has 3 cells"):
             load_trace(path, "kW", 600)
 
     def test_gap_detected(self, tmp_path):
@@ -141,8 +151,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
-    def test_config_dict_is_complete(self):
-        d = config_as_dict(load_config(None))
+    def test_config_dict_is_complete(self, tmp_path):
+        assert main(["noise", "--out", str(tmp_path)]) == 0
+        d = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        cfg = load_config(None)
+        assert set(d) == {f.name for f in dataclasses.fields(cfg)}
+        for section in ("dp", "mpc", "buildings", "traces"):
+            assert set(d[section]) == {f.name for f in dataclasses.fields(getattr(cfg, section))}
         assert d["dp"]["epsilon"] == 0.1
         assert d["mpc"]["horizon_np"] == 6
         assert d["traces"]["days"] == 3
@@ -186,3 +201,15 @@ class TestBuildSimulation:
         )
         _, _, _, pv = build_simulation(cfg)
         assert all(v == 10.0 for v in pv.values)
+
+    def test_weather_csv(self, tmp_path):
+        path = tmp_path / "weather.csv"
+        path.write_text("step,q_solar_kw_m2,t_out_c\n"
+                        + "".join(f"{i},{i / 1000},{25.0 + i / 100}\n" for i in range(432)))
+        cfg = ScenarioConfig(
+            n_buildings=2,
+            traces=ScenarioConfig().traces.__class__(weather_csv=str(path)),
+        )
+        _, _, dist, _ = build_simulation(cfg)
+        assert dist.t_out == tuple(25.0 + i / 100 for i in range(432))
+        assert dist.q_solar == tuple(i / 1000 for i in range(432))
