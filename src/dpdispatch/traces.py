@@ -68,9 +68,9 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
 
     Refuses, naming the file, a missing or empty file, a first column other
     than `step`, and a header other than `header` when one is given; and,
-    naming the file and the row (data rows count from 1), a row whose cell
-    count differs from the header's, a cell that is not a finite number, and
-    steps other than 0, 1, 2, ...
+    naming the file and the row (the lines after the header count from 1,
+    blank ones included), a row whose cell count differs from the header's,
+    a cell that is not a finite number, and steps other than 0, 1, 2, ...
     """
     path = Path(path)
     if not path.exists():
@@ -81,20 +81,22 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
             found = next(reader)
         except StopIteration:
             raise TraceError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        numbered = [(rownum, row) for rownum, row in enumerate(reader, start=1) if row]
+    rownums = [rownum for rownum, _ in numbered]
+    rows = [row for _, row in numbered]
     if found[:1] != ["step"]:
         raise TraceError(f"{path}: expected a header starting with 'step', got {found}")
     if header is not None and found != header:
         raise TraceError(f"{path}: expected header {header}, got {found}")
     if not rows:
         raise TraceError(f"{path}: no data rows")
-    for rownum, row in enumerate(rows, start=1):
+    for rownum, row in numbered:
         if len(row) != len(found):
             raise TraceError(f"{path}: row {rownum} has {len(row)} cells, header has {len(found)}")
     try:
         table = np.array(rows, dtype=float)
     except ValueError:
-        for rownum, row in enumerate(rows, start=1):
+        for rownum, row in numbered:
             try:
                 np.array(row, dtype=float)
             except ValueError as exc:
@@ -102,30 +104,21 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
         raise
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        raise TraceError(f"{path}: non-finite value at row {int(np.argmin(finite)) + 1}")
+        raise TraceError(f"{path}: non-finite value at row {rownums[int(np.argmin(finite))]}")
     expected = np.arange(len(table))
     if not np.array_equal(table[:, 0], expected):
         k = int(np.argmax(table[:, 0] != expected))
         raise TraceError(
-            f"{path}: gap or reorder at row {k + 1}: step {rows[k][0]}, expected {k}"
+            f"{path}: gap or reorder at row {rownums[k]}: step {rows[k][0]}, expected {k}"
         )
     return found, table
 
 
-def load_trace(
-    path: str | Path,
-    expected_unit: str,
-    expected_step_seconds: int,
-    value_column: str | None = None,
-) -> Trace:
-    """One column of a `step,...` CSV (by default the second) as a Trace."""
+def load_trace(path: str | Path, expected_unit: str, expected_step_seconds: int) -> Trace:
+    """The value column of a `step,<value>` CSV as a Trace."""
     header, table = read_table(path)
-    if value_column is None:
-        value_column = header[1] if len(header) > 1 else "<value>"
-    if value_column not in header[1:]:
-        raise TraceError(f"{path}: missing column {value_column!r}, header is {header}")
+    if len(header) != 2:
+        raise TraceError(f"{path}: expected header 'step,<value>', got {header}")
     return Trace(
-        values=table[:, header.index(value_column)].tolist(),
-        unit=expected_unit,
-        step_seconds=expected_step_seconds,
+        values=table[:, 1].tolist(), unit=expected_unit, step_seconds=expected_step_seconds
     )

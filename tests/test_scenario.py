@@ -9,6 +9,7 @@ from dpdispatch.scenario import (
     BuildingParams,
     ConfigError,
     ScenarioConfig,
+    TraceSources,
     build_simulation,
     load_config,
     synth_pv,
@@ -33,6 +34,12 @@ class TestLoadTrace:
         rows = [f"{i},1.0" for i in range(16)] + ["16,nan"] + ["17,1.0"]
         path = self._write(tmp_path, rows)
         with pytest.raises(TraceError, match="row 17"):
+            load_trace(path, "kW", 600)
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        rows = [f"{i},1.0" for i in range(3)] + [""] + ["3,inf"]
+        path = self._write(tmp_path, rows)
+        with pytest.raises(TraceError, match="row 5$"):
             load_trace(path, "kW", 600)
 
     def test_trace_names_first_non_finite_step(self):
@@ -208,7 +215,7 @@ class TestBuildSimulation:
                         + "".join(f"{i},{i / 1000},{25.0 + i / 100}\n" for i in range(432)))
         cfg = ScenarioConfig(
             n_buildings=2,
-            traces=ScenarioConfig().traces.__class__(weather_csv=str(path)),
+            traces=TraceSources(weather_csv=str(path)),
         )
         _, _, dist, _ = build_simulation(cfg)
         assert dist.t_out == tuple(25.0 + i / 100 for i in range(432))
