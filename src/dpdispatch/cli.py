@@ -36,6 +36,10 @@ FLAGS_HEADER = ["step", "ref_unclamped_kw", "ref_clamped", "target_clipped",
                 "must_on_kw", "free_kw", "infeasible"]
 
 
+def _temperatures_header(n_buildings: int) -> list[str]:
+    return ["step"] + [f"b{j:03d}" for j in range(n_buildings)]
+
+
 def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     return {
         "tool": "dpdispatch",
@@ -95,7 +99,7 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
     )
     write_csv(
         out / "temperatures.csv",
-        ["step"] + [f"b{j:03d}" for j in range(report.temps.shape[0])],
+        _temperatures_header(report.temps.shape[0]),
         [(k, *report.temps[:, k]) for k in range(report.n_steps)],
     )
     infeasible = set(report.infeasible_steps)
@@ -155,13 +159,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         config = json.loads(manifest_path.read_text())["config"]
         band = (config["mpc"]["comfort_min"], config["mpc"]["comfort_max"])
         step_seconds = config["traces"]["step_seconds"]
+        n_b = config["n_buildings"]
+        temp_header = _temperatures_header(n_b)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest: {exc!r}") from None
 
     _, results = read_table(out / "results.csv", RESULTS_HEADER)
     _, pv = read_table(out / "pv.csv", ["step", "pv_kw"])
     _, noise = read_table(out / "noise.csv", ["step", "noise_kw"])
-    temp_header, temps = read_table(out / "temperatures.csv")
+    _, temps = read_table(out / "temperatures.csv", temp_header)
     _, flags = read_table(out / "flags.csv", FLAGS_HEADER)
     for name, table in (("pv.csv", pv), ("noise.csv", noise), ("temperatures.csv", temps),
                         ("flags.csv", flags)):
@@ -170,7 +176,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{out / name}: {len(table)} data rows, results.csv has {len(results)}"
             )
 
-    n_b = len(temp_header) - 1
     report = RunReport(
         step_seconds=step_seconds,
         pv_kw=tuple(pv[:, 1].tolist()),

@@ -2,9 +2,12 @@
 
 Two solvers share one problem statement:
 
-* solve_exact -- depth-first branch-and-bound over the binary schedule with
-  incumbent pruning. Globally optimal, guarded to small instances; serves as
-  the oracle for the heuristic.
+* solve_exact -- depth-first branch-and-bound over the binary schedule.
+  Per-building prefix tables replace per-node thermal predictions, and a
+  cost-to-go bound (comfort and violation are separable per building; only
+  the tracking term couples them) prunes and orders the children. Globally
+  optimal, guarded to small instances; serves as the oracle for the
+  heuristic.
 * solve_priority_heuristic -- per-step comfort classification (must-ON /
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
@@ -89,12 +92,14 @@ class Schedule:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.int8)
+        # check the values as given: casting first would turn 0.5 into 0
+        # and 256 into 0
+        u = np.asarray(self.u)
         if u.ndim != 2:
             raise ValueError("schedule must be a 2-D matrix")
         if not np.isin(u, (0, 1)).all():
             raise ValueError("schedule entries must be 0 or 1")
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", u.astype(np.int8))
 
     @property
     def n_buildings(self) -> int:
@@ -112,7 +117,9 @@ class DispatchResult:
     cost: float
     per_building_error: np.ndarray  # e_i(k) = predicted temp - setpoint
     violations: tuple[tuple[int, int, float], ...]  # (building, step, overshoot degC)
-    infeasible: bool = False  # simultaneous must-ON/must-OFF encountered
+    # greedy: some step had a building both must-ON and must-OFF; exact: the
+    # optimal schedule violates the comfort band
+    infeasible: bool = False
 
 
 def _effective_horizon(problem: DispatchProblem, config: MPCConfig) -> int:
@@ -203,6 +210,67 @@ def _result_from_schedule(
     )
 
 
+# Relative slack on the bound prunes. A leaf's violation and cost and their
+# bounds are float sums of at most 24 nonnegative terms, each within about
+# 24 ulp (relative 3e-15) of its exact sum, so a bound and a leaf below it
+# can be out of order by less than 1e-14 relative; with this margin a bound
+# prune never discards a leaf that ties with or beats the incumbent.
+_BOUND_MARGIN = 1e-12
+
+
+def _prefix_tables(
+    model: DiscreteThermalModel,
+    temp: float,
+    dist: DisturbanceTrace,
+    n_p: int,
+    config: MPCConfig,
+) -> tuple[list[list[float]], list[list[float]]]:
+    """One building's e*e and overshoot after every own-control prefix.
+
+    Entry [k][p] is for the k + 1 controls given by the bits of p, the first
+    control the most significant, so prefix p at step k has the children
+    2p and 2p + 1 at step k + 1. The temperatures come from predict_temp in
+    the order the controls apply, as a per-node evaluation computes them.
+    """
+    c_lo, c_hi, x_r = config.comfort_min, config.comfort_max, config.setpoint_xr
+    temps = [temp]
+    e2, viol = [], []
+    for k in range(n_p):
+        t_out, q_sol = dist.t_out[k], dist.q_solar[k]
+        temps = [predict_temp(model, x, u, t_out, q_sol) for x in temps for u in (0, 1)]
+        e2.append([e * e for e in (x - x_r for x in temps)])
+        viol.append([
+            x - c_hi if x > c_hi + COMFORT_TOL else c_lo - x if x < c_lo - COMFORT_TOL else 0.0
+            for x in temps
+        ])
+    return e2, viol
+
+
+def _to_go(terms: list[list[float]]) -> list[list[float]]:
+    """Per prefix, the minimum over its completions of the terms still to come.
+
+    terms is indexed like _prefix_tables' tables; the result has the same
+    shape, zero at the last step.
+    """
+    to_go = [[0.0] * len(terms[-1])]
+    for k in range(len(terms) - 1, 0, -1):
+        with_term = [t + g for t, g in zip(terms[k], to_go[0])]
+        to_go.insert(0, [b if b < a else a for a, b in zip(with_term[0::2], with_term[1::2])])
+    return to_go
+
+
+def _column_sums(pairs: list[list[float]]) -> list[float]:
+    """Per joint column, the sum over buildings of each building's term.
+
+    pairs[j] holds building j's term for control 0 and 1; columns come in
+    itertools.product order and each sum is taken left to right from 0.0.
+    """
+    sums = [0.0]
+    for pair in pairs:
+        sums = [s + v for s in sums for v in pair]
+    return sums
+
+
 def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     """Globally optimal schedule by branch-and-bound over binary columns.
 
@@ -211,6 +279,28 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     the lexicographically smallest row-major flattening. If no schedule is
     feasible the minimal-total-violation schedule is returned with its
     violations marked.
+
+    A building's temperatures depend only on its own controls, so every
+    e*e and overshoot the search can meet is tabled once per solve over
+    each building's prefix tree (2 + 4 + ... + 2^H entries), and each
+    step's tracking term once per joint column. A child is evaluated
+    by lookups summed in the order a direct evaluation uses, so every
+    leaf's (violation, cost, key) is bit-identical to it.
+
+    Comfort and violation are separable per building and only the tracking
+    term couples the buildings, so each building's cheapest completion of
+    its own prefix (backward over its prefix tree) plus each remaining
+    step's cheapest tracking term bounds every completion from below. A
+    child is pruned when its partial (violation, cost) is already worse than
+    the incumbent's, as both only grow; when its violation plus the
+    violation bound exceeds the incumbent's violation; or when its partial
+    violation is at least the incumbent's and its cost plus the cost bound
+    exceeds the incumbent's cost. The bound prunes need an excess of more
+    than _BOUND_MARGIN relative, far above the rounding of these sums, so no
+    pruned subtree holds a leaf that ties with or beats the incumbent, and
+    the result does not depend on the visiting order. Children are visited
+    in order of (violation + bound, cost + bound, column index), so the
+    first dive finds a strong incumbent.
     """
     n_p = _effective_horizon(problem, config)
     n_b = problem.n_buildings
@@ -221,10 +311,29 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
         )
 
     p_rates = [m.p_rate for m in problem.models]
-    q_w, r_w, x_r = config.weight_q, config.weight_r, config.setpoint_xr
-    c_lo, c_hi = config.comfort_min, config.comfort_max
-    dist = problem.disturbance_forecast
+    q_w, r_w = config.weight_q, config.weight_r
     column_choices = list(itertools.product((0, 1), repeat=n_b))
+
+    # [k][j][p]: building j's entry at step k for its own-control prefix p
+    per_building = [_prefix_tables(m, s.temp, problem.disturbance_forecast, n_p, config)
+                    for m, s in zip(problem.models, problem.init_states)]
+    e2 = [[t[0][k] for t in per_building] for k in range(n_p)]
+    viol = [[t[1][k] for t in per_building] for k in range(n_p)]
+    e2_to_go = list(zip(*(_to_go(t[0]) for t in per_building)))
+    viol_to_go = list(zip(*(_to_go(t[1]) for t in per_building)))
+
+    # [k][c]: tracking term of joint column c at step k, z summed in building
+    # order; and the cheapest tracking still to come after step k
+    z_cols = []
+    for combo in column_choices:
+        z = 0.0
+        for j in range(n_b):
+            z += combo[j] * p_rates[j]
+        z_cols.append(z)
+    track = [[q_w * (z - problem.reference[k]) ** 2 for z in z_cols] for k in range(n_p)]
+    track_to_go = [0.0] * n_p
+    for k in range(n_p - 2, -1, -1):
+        track_to_go[k] = track_to_go[k + 1] + min(track[k + 1])
 
     best: dict = {"viol": None, "cost": None, "key": None, "cols": None}
 
@@ -238,7 +347,14 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
             return viol > best["viol"]
         return cst > best["cost"]
 
-    def recurse(k: int, temps: list[float], part_cost: float, part_viol: float, cols: list):
+    def bound_worse_than_best(viol_bound: float, cost_bound: float, viol: float) -> bool:
+        if best["viol"] is None:
+            return False
+        if viol_bound > best["viol"] * (1.0 + _BOUND_MARGIN):
+            return True
+        return viol >= best["viol"] and cost_bound > best["cost"] * (1.0 + _BOUND_MARGIN)
+
+    def recurse(k: int, prefix: tuple[int, ...], part_cost: float, part_viol: float, cols: list):
         if k == n_p:
             key = row_major_key(cols)
             if (
@@ -249,39 +365,32 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
             ):
                 best.update(viol=part_viol, cost=part_cost, key=key, cols=list(cols))
             return
-        t_out, q_sol = dist.t_out[k], dist.q_solar[k]
-        ref_k = problem.reference[k]
-        for combo in column_choices:
-            z = 0.0
-            step_cost = 0.0
-            step_viol = 0.0
-            next_temps = []
-            e_sum = 0.0
-            for j in range(n_b):
-                m = problem.models[j]
-                x = predict_temp(m, temps[j], combo[j], t_out, q_sol)
-                next_temps.append(x)
-                e = x - x_r
-                e_sum += e * e
-                if x > c_hi + COMFORT_TOL:
-                    step_viol += x - c_hi
-                elif x < c_lo - COMFORT_TOL:
-                    step_viol += c_lo - x
-                z += combo[j] * p_rates[j]
-            step_cost = q_w * (z - ref_k) ** 2 + r_w * e_sum
-            new_cost = part_cost + step_cost
-            new_viol = part_viol + step_viol
+
+        def sums(table):  # per column, the buildings' entries for the child prefixes
+            return _column_sums([t[2 * p : 2 * p + 2] for t, p in zip(table[k], prefix)])
+
+        # step cost = tracking + r * e_sum, added to the partial: cost()'s order
+        track_go = track_to_go[k]
+        new_costs = [part_cost + (t + r_w * e) for t, e in zip(track[k], sums(e2))]
+        new_viols = [part_viol + v for v in sums(viol)]
+        cost_bounds = [c + (track_go + r_w * g) for c, g in zip(new_costs, sums(e2_to_go))]
+        viol_bounds = [v + g for v, g in zip(new_viols, sums(viol_to_go))]
+        children = itertools.product(*((2 * p, 2 * p + 1) for p in prefix))
+        for viol_bound, cost_bound, c, new_cost, new_viol, child in sorted(
+            zip(viol_bounds, cost_bounds, range(len(column_choices)), new_costs, new_viols, children)
+        ):
             # both accumulators are monotone, so a partial already worse than
             # the incumbent cannot recover; equal partials must continue for
             # the lexicographic tie-break
             if worse_than_best(new_viol, new_cost):
                 continue
-            cols.append(combo)
-            recurse(k + 1, next_temps, new_cost, new_viol, cols)
+            if bound_worse_than_best(viol_bound, cost_bound, new_viol):
+                continue
+            cols.append(column_choices[c])
+            recurse(k + 1, child, new_cost, new_viol, cols)
             cols.pop()
 
-    init_temps = [s.temp for s in problem.init_states]
-    recurse(0, init_temps, 0.0, 0.0, [])
+    recurse(0, (0,) * n_b, 0.0, 0.0, [])
 
     u = np.array(best["cols"]).T  # columns were collected per step
     return _result_from_schedule(problem, u, config, infeasible=best["viol"] > 0)

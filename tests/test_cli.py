@@ -51,6 +51,15 @@ def edit_line(name, line_no, edit):
     return mutate
 
 
+def drop_last_column(name):
+    """Remove the last column from the header and from every row."""
+    def mutate(out):
+        path = out / name
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    return mutate
+
+
 def set_cell(name, line_no, col, value):
     def edit(line):
         cells = line.rstrip("\r\n").split(",")
@@ -131,7 +140,7 @@ class TestSimulateCommand:
 
 
 class TestPinnedDigests:
-    """Gate files of two fixed scenarios, byte for byte.
+    """Gate files of fixed scenarios, byte for byte.
 
     Rerunning one build only shows that a build is deterministic; these
     digests also catch a change that moves a byte between builds. The
@@ -158,6 +167,17 @@ class TestPinnedDigests:
                 "results.csv": "bf8379a83e81da4a4d321e89b94675a4d01e9b7f49f543440b198d92f15c54ae",
                 "flags.csv": "775ec92b9f5932b71eaa54d6b49408df03fe793a5c66710dad7fb116c3097126",
                 "summary.csv": "ed15be73cc702969ac76f8b588eb3e38f76b0810a12369d2a9bec678245235d7",
+            },
+        ),
+        # the exact benchmark's shape: 4 buildings x horizon 5, 20 binaries
+        "exact_4x5": (
+            "n_buildings: 4\nseed: 7\nbuildings:\n  jitter: 0.1\n  p_rate: 4.3\n"
+            "traces:\n  days: 1\n",
+            ["--solver", "exact", "--horizon", "5"],
+            {
+                "results.csv": "b1033a7ea7dc8e0b03f96e2bb48daa5d8e4809da6e76ecd1052c4f946a33efbf",
+                "flags.csv": "af1af659e3fbc422ed673d53826b6dbc816a3d2c94278370e3269bd1123cffe0",
+                "summary.csv": "33b06e6cca9e26872d84fb3494b8a2e0626da5c4fa0ab2a39b7202b9c698c642",
             },
         ),
     }
@@ -205,11 +225,12 @@ class TestReportCommand:
         (edit_line("results.csv", 0, lambda line: line.replace("agg_kw", "agg")), "results.csv"),
         (set_cell("results.csv", 5, 1, "nan"), "results.csv: non-finite value at row 5"),
         (set_cell("pv.csv", 10, 0, "10"), "pv.csv: gap or reorder at row 10"),
+        (drop_last_column("temperatures.csv"), "temperatures.csv: expected header"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
         "flags-truncated-bytes", "flags-non-numeric", "results-renamed-column",
-        "results-nan-cell", "pv-step-gap",
+        "results-nan-cell", "pv-step-gap", "temperatures-building-dropped",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"

@@ -110,6 +110,48 @@ def random_instance(rng, max_binaries=12):
     return problem, config
 
 
+def tied_instance(rng, max_binaries=12):
+    """Instances random_instance rarely draws: exact ties and violations.
+
+    Ratings are integers and references multiples of half a rating; one
+    weight may be 0; starts of 21 or 26 degC and outdoor temperatures of 15
+    or 40 degC force violations. Half the instances have identical buildings
+    and start temperatures. Half have dynamics whose sums are exact in
+    floating point (a_d = 1, half-degree steps), so distinct schedules tie
+    exactly.
+    """
+    n_b = int(rng.integers(1, 5))
+    n_p = max(1, min(int(rng.integers(1, 7)), max_binaries // n_b))
+    p_rates = [float(r) for r in rng.integers(1, 4, size=n_b)]
+    exact = rng.random() < 0.5
+
+    def draw_model(p_rate):
+        if exact:
+            return make_model(a_d=1.0, b_d=float(rng.choice([-0.5, -1.0])), g_t=0.0, p_rate=p_rate)
+        return make_model(a_d=float(rng.choice([0.8, 0.92])), b_d=float(rng.choice([-0.5, -0.96])),
+                          p_rate=p_rate)
+
+    starts = [21.0, 22.5, 23.0, 23.5, 24.5, 26.0]
+    if rng.random() < 0.5:
+        models = [draw_model(p_rates[0])] * n_b
+        temps = [float(rng.choice(starts))] * n_b
+    else:
+        models = [draw_model(r) for r in p_rates]
+        temps = [float(rng.choice(starts)) for _ in range(n_b)]
+    reference = [p_rates[0] * int(rng.integers(0, 2 * n_b + 1)) / 2 for _ in range(n_p)]
+    weight_q, weight_r = [(0.0, 10.0), (1.0, 0.0), (1.0, 10.0), (2.0, 1.0)][int(rng.integers(4))]
+    problem = make_problem(models, temps, reference, t_out=float(rng.choice([15.0, 30.0, 40.0])))
+    return problem, MPCConfig(horizon_np=n_p, weight_q=weight_q, weight_r=weight_r)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("u", [[[0.5, 1]], [[1.7]], np.array([[256]]), [[-0.4]]],
+                             ids=["half", "1.7", "256", "-0.4"])
+    def test_rejects_non_binary_before_casting(self, u):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Schedule(u=u)
+
+
 class TestAggregatePower:
     def test_all_off(self):
         sched = Schedule(u=np.zeros((3, 2), dtype=int))
@@ -186,6 +228,21 @@ class TestSolveExact:
             oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
             assert got.cost == oracle_cost
             assert got.schedule.u.tolist() == oracle_u.tolist()
+
+    def test_matches_oracle_on_tied_and_violating_instances(self):
+        # the bound prunes must keep every leaf that ties with the incumbent
+        # and stay exact when the optimum violates the band
+        rng = np.random.default_rng(20261018)
+        n_violating = 0
+        for _ in range(200):
+            problem, config = tied_instance(rng, max_binaries=10)
+            got = solve_exact(problem, config)
+            oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
+            assert got.cost == oracle_cost
+            assert got.schedule.u.tolist() == oracle_u.tolist()
+            assert got.infeasible == (oracle_viol > 0)
+            n_violating += oracle_viol > 0
+        assert 0 < n_violating < 200
 
     def test_weight_scaling_preserves_argmin(self):
         rng = np.random.default_rng(7)
