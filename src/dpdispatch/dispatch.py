@@ -259,7 +259,7 @@ def _to_go(terms: list[list[float]]) -> list[list[float]]:
     return to_go
 
 
-def _column_sums(pairs: list[list[float]]) -> list[float]:
+def _column_sums(pairs: Sequence[Sequence[float]]) -> list[float]:
     """Per joint column, the sum over buildings of each building's term.
 
     pairs[j] holds building j's term for control 0 and 1; columns come in
@@ -310,7 +310,6 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
             f"({EXACT_GUARD} binaries); use the priority heuristic"
         )
 
-    p_rates = [m.p_rate for m in problem.models]
     q_w, r_w = config.weight_q, config.weight_r
     column_choices = list(itertools.product((0, 1), repeat=n_b))
 
@@ -323,13 +322,9 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     viol_to_go = list(zip(*(_to_go(t[1]) for t in per_building)))
 
     # [k][c]: tracking term of joint column c at step k, z summed in building
-    # order; and the cheapest tracking still to come after step k
-    z_cols = []
-    for combo in column_choices:
-        z = 0.0
-        for j in range(n_b):
-            z += combo[j] * p_rates[j]
-        z_cols.append(z)
+    # order as aggregate_power sums it; and the cheapest tracking still to
+    # come after step k
+    z_cols = _column_sums([(0.0, m.p_rate) for m in problem.models])
     track = [[q_w * (z - problem.reference[k]) ** 2 for z in z_cols] for k in range(n_p)]
     track_to_go = [0.0] * n_p
     for k in range(n_p - 2, -1, -1):

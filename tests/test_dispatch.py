@@ -110,7 +110,7 @@ def random_instance(rng, max_binaries=12):
     return problem, config
 
 
-def tied_instance(rng, max_binaries=12):
+def tied_instance(rng, max_binaries=10):
     """Instances random_instance rarely draws: exact ties and violations.
 
     Ratings are integers and references multiples of half a rating; one
@@ -235,7 +235,7 @@ class TestSolveExact:
         rng = np.random.default_rng(20261018)
         n_violating = 0
         for _ in range(200):
-            problem, config = tied_instance(rng, max_binaries=10)
+            problem, config = tied_instance(rng)
             got = solve_exact(problem, config)
             oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
             assert got.cost == oracle_cost
