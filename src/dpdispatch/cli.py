@@ -17,6 +17,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from dpdispatch import metrics
 from dpdispatch.dispatch import SolverGuardError, receding_horizon_run
 from dpdispatch.metrics import RunReport
@@ -148,6 +150,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_stored_columns(
+    out: Path, results: np.ndarray, flags: np.ndarray, n_b: int, violations: np.ndarray
+) -> None:
+    """Refuse, naming the file and the first bad step, a stored column that the
+    rest of the run contradicts: a `residual_kw` other than exactly
+    `agg_kw - ref_kw` (it was written as the repr of that difference), a
+    `violations` cell other than `violations`, the per-step count over
+    `temperatures.csv`, an `n_on` that is not an integer in [0, n_b], or a
+    flag other than 0 or 1.
+    """
+    n_on = results[:, 4]
+    residual = results[:, 2] - results[:, 1]
+    checks = [
+        ("results.csv", "residual_kw", results[:, 3], results[:, 3] != residual,
+         lambda k: f"agg_kw - ref_kw = {residual[k]}"),
+        ("results.csv", "n_on", n_on, (n_on != np.round(n_on)) | (n_on < 0) | (n_on > n_b),
+         lambda k: f"an integer in [0, {n_b}]"),
+        ("results.csv", "violations", results[:, 5], results[:, 5] != violations,
+         lambda k: f"{violations[k]} from temperatures.csv"),
+    ] + [
+        ("flags.csv", FLAGS_HEADER[c], flags[:, c], (flags[:, c] != 0) & (flags[:, c] != 1),
+         lambda k: "0 or 1")
+        for c in (2, 3, 6)
+    ]
+    for name, column, stored, bad, expected in checks:
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise TraceError(
+                f"{out / name}: {column} at step {k} is {stored[k]}, expected {expected(k)}"
+            )
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not out.is_dir():
@@ -190,6 +224,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         target_clipped=tuple((flags[:, 3] != 0).tolist()),
         ref_clamped=tuple((flags[:, 2] != 0).tolist()),
         infeasible_steps=tuple(flags[flags[:, 6] != 0, 0].astype(int).tolist()),
+    )
+    _check_stored_columns(
+        out, results, flags, n_b, metrics.comfort_violations_per_step(report, band)
     )
     summary = metrics.summarize(report, band=band)
     write_csv(out / "summary.csv", list(summary), [list(summary.values())])

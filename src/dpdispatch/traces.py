@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,47 +72,88 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
     naming the file and the row (the lines after the header count from 1,
     blank ones included), a row whose cell count differs from the header's,
     a cell that is not a finite number, and steps other than 0, 1, 2, ...
+
+    A cell is accepted as `np.loadtxt` parses it: Python float syntax in
+    ASCII (`nan` and `inf` included, then refused as non-finite), with
+    surrounding whitespace, optionally in double quotes; underscores and
+    non-ASCII digits are refused. The body is parsed in one `np.loadtxt`
+    call; only when that call or a check on its table fails does a row-by-row
+    csv walk run, and only to name the bad row.
     """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"file not found: {path}")
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            found = next(reader)
+            found = next(csv.reader(fh))
         except StopIteration:
             raise TraceError(f"{path}: empty file") from None
+        if found[:1] != ["step"]:
+            raise TraceError(f"{path}: expected a header starting with 'step', got {found}")
+        if header is not None and found != header:
+            raise TraceError(f"{path}: expected header {header}, got {found}")
+        try:
+            # A body of blank lines gives an empty table, which the walk names.
+            with warnings.catch_warnings(action="ignore", category=UserWarning):
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                   dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise _bad_row_error(path, found, str(exc)) from None
+    if (
+        len(table) > 0
+        and table.shape[1] == len(found)
+        and np.isfinite(table).all()
+        and np.array_equal(table[:, 0], np.arange(len(table)))
+    ):
+        return found, table
+    raise _bad_row_error(path, found, "the parsed table failed a row check")
+
+
+def _cell_float(cell: str) -> float:
+    """One cell by `np.loadtxt`'s rules: Unicode whitespace stripped, then
+    float() syntax without underscores or non-ASCII characters."""
+    number = cell.strip()
+    if "_" not in number and number.isascii():
+        try:
+            return float(number)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {cell!r}")
+
+
+def _bad_row_error(path: Path, header: list[str], fast_error: str) -> TraceError:
+    """The TraceError naming the first bad row of a file the fast parse refused.
+
+    The checks run in the order of `read_table`'s docstring, each over every
+    row before the next starts. If the walk finds no bad row, the error gives
+    `fast_error`, the fast parse's reason.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         numbered = [(rownum, row) for rownum, row in enumerate(reader, start=1) if row]
-    rownums = [rownum for rownum, _ in numbered]
-    rows = [row for _, row in numbered]
-    if found[:1] != ["step"]:
-        raise TraceError(f"{path}: expected a header starting with 'step', got {found}")
-    if header is not None and found != header:
-        raise TraceError(f"{path}: expected header {header}, got {found}")
-    if not rows:
-        raise TraceError(f"{path}: no data rows")
+    if not numbered:
+        return TraceError(f"{path}: no data rows")
     for rownum, row in numbered:
-        if len(row) != len(found):
-            raise TraceError(f"{path}: row {rownum} has {len(row)} cells, header has {len(found)}")
-    try:
-        table = np.array(rows, dtype=float)
-    except ValueError:
-        for rownum, row in numbered:
-            try:
-                np.array(row, dtype=float)
-            except ValueError as exc:
-                raise TraceError(f"{path}: row {rownum}: {exc}") from None
-        raise
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise TraceError(f"{path}: non-finite value at row {rownums[int(np.argmin(finite))]}")
-    expected = np.arange(len(table))
-    if not np.array_equal(table[:, 0], expected):
-        k = int(np.argmax(table[:, 0] != expected))
-        raise TraceError(
-            f"{path}: gap or reorder at row {rownums[k]}: step {rows[k][0]}, expected {k}"
-        )
-    return found, table
+        if len(row) != len(header):
+            return TraceError(
+                f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
+            )
+    values = []
+    for rownum, row in numbered:
+        try:
+            values.append([_cell_float(cell) for cell in row])
+        except ValueError as exc:
+            return TraceError(f"{path}: row {rownum}: {exc}")
+    for (rownum, _), parsed in zip(numbered, values):
+        if not all(map(math.isfinite, parsed)):
+            return TraceError(f"{path}: non-finite value at row {rownum}")
+    for k, ((rownum, row), parsed) in enumerate(zip(numbered, values)):
+        if parsed[0] != k:
+            return TraceError(
+                f"{path}: gap or reorder at row {rownum}: step {row[0]}, expected {k}"
+            )
+    return TraceError(f"{path}: {fast_error}")
 
 
 def load_trace(path: str | Path, expected_unit: str, expected_step_seconds: int) -> Trace:

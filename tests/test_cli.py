@@ -226,11 +226,22 @@ class TestReportCommand:
         (set_cell("results.csv", 5, 1, "nan"), "results.csv: non-finite value at row 5"),
         (set_cell("pv.csv", 10, 0, "10"), "pv.csv: gap or reorder at row 10"),
         (drop_last_column("temperatures.csv"), "temperatures.csv: expected header"),
+        (set_cell("results.csv", 5, 5, "7"), "results.csv: violations at step 4"),
+        (set_cell("results.csv", 5, 3, "100.0"), "results.csv: residual_kw at step 4"),
+        (set_cell("results.csv", 5, 4, "2.5"), "results.csv: n_on at step 4"),
+        (set_cell("results.csv", 5, 4, "-1"), "results.csv: n_on at step 4"),
+        (set_cell("results.csv", 5, 4, "5"), "results.csv: n_on at step 4"),
+        (set_cell("flags.csv", 5, 2, "2"), "flags.csv: ref_clamped at step 4"),
+        (set_cell("flags.csv", 5, 3, "0.5"), "flags.csv: target_clipped at step 4"),
+        (set_cell("flags.csv", 5, 6, "-1"), "flags.csv: infeasible at step 4"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
         "flags-truncated-bytes", "flags-non-numeric", "results-renamed-column",
         "results-nan-cell", "pv-step-gap", "temperatures-building-dropped",
+        "results-violations-edited", "results-residual-edited", "results-n-on-fractional",
+        "results-n-on-negative", "results-n-on-above-fleet", "flags-ref-clamped-2",
+        "flags-target-clipped-half", "flags-infeasible-negative",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"

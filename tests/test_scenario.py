@@ -60,6 +60,13 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="row 6 has 3 cells"):
             load_trace(path, "kW", 600)
 
+    @pytest.mark.parametrize("cell", ["1_5", "１.５", "٣"])
+    def test_python_only_float_syntax_names_row(self, tmp_path, cell):
+        rows = [f"{i},1.0" for i in range(5)] + [f"5,{cell}"] + ["6,1.0"]
+        path = self._write(tmp_path, rows)
+        with pytest.raises(TraceError, match=f"row 6: could not convert string to float: '{cell}'$"):
+            load_trace(path, "kW", 600)
+
     def test_gap_detected(self, tmp_path):
         path = self._write(tmp_path, ["0,1.0", "2,1.0"])
         with pytest.raises(TraceError, match="gap"):
