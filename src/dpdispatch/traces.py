@@ -75,8 +75,8 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
 
     A cell is accepted as `np.loadtxt` parses it: Python float syntax in
     ASCII (`nan` and `inf` included, then refused as non-finite), with
-    surrounding whitespace, optionally in double quotes; underscores and
-    non-ASCII digits are refused. The body is parsed in one `np.loadtxt`
+    surrounding Unicode whitespace, optionally in double quotes; underscores
+    and non-ASCII digits are refused. The body is parsed in one `np.loadtxt`
     call; only when that call or a check on its table fails does a row-by-row
     csv walk run, and only to name the bad row.
     """

@@ -35,8 +35,6 @@ TOKENS = {
 }
 EDITS = ["quote", "blank", "extra", "missing", "gap", "swap", *TOKENS]
 
-settings_with_tmp = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-
 
 @st.composite
 def tables(draw):
@@ -72,7 +70,7 @@ def reference_read(text):
     for n, row in rows:
         if not all(LOADTXT_FLOAT.fullmatch(cell) for cell in row):
             return None, f"row {n}: could not convert string to float: "
-        parsed.append([float(cell) for cell in row])
+        parsed.append([float(cell.strip()) for cell in row])
     for (n, _), values in zip(rows, parsed):
         if not all(map(math.isfinite, values)):
             return None, f"non-finite value at row {n}$"
@@ -82,7 +80,7 @@ def reference_read(text):
     return np.array(parsed), None
 
 
-@settings_with_tmp
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=tables())
 def test_round_trip_is_bit_exact(tmp_path, values):
     path = tmp_path / "table.csv"
@@ -126,7 +124,9 @@ def damaged(draw, lines, n_cols):
     return "".join(line + "\r\n" for line in lines)
 
 
-@settings_with_tmp
+# More examples than the default, so that most runs draw each kind of edit
+# in a file with no earlier-reported problem.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), values=tables())
 def test_matches_reference_parser_on_damaged_files(tmp_path, data, values):
     path = tmp_path / "table.csv"
