@@ -16,8 +16,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from dpdispatch import metrics
 from dpdispatch.dispatch import SolverGuardError, receding_horizon_run
@@ -25,6 +24,9 @@ from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
 from dpdispatch.scenario import ConfigError, ScenarioConfig, build_simulation, load_config
 from dpdispatch.traces import Trace, TraceError, read_table, save_trace, write_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -165,7 +167,7 @@ def _check_stored_columns(
     checks = [
         ("results.csv", "residual_kw", results[:, 3], results[:, 3] != residual,
          lambda k: f"agg_kw - ref_kw = {residual[k]}"),
-        ("results.csv", "n_on", n_on, (n_on != np.round(n_on)) | (n_on < 0) | (n_on > n_b),
+        ("results.csv", "n_on", n_on, (n_on != n_on.round()) | (n_on < 0) | (n_on > n_b),
          lambda k: f"an integer in [0, {n_b}]"),
         ("results.csv", "violations", results[:, 5], results[:, 5] != violations,
          lambda k: f"{violations[k]} from temperatures.csv"),
@@ -176,7 +178,7 @@ def _check_stored_columns(
     ]
     for name, column, stored, bad, expected in checks:
         if bad.any():
-            k = int(np.argmax(bad))
+            k = int(bad.argmax())
             raise TraceError(
                 f"{out / name}: {column} at step {k} is {stored[k]}, expected {expected(k)}"
             )

@@ -94,7 +94,8 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
             raise TraceError(f"{path}: expected header {header}, got {found}")
         try:
             # A body of blank lines gives an empty table, which the walk names.
-            with warnings.catch_warnings(action="ignore", category=UserWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                    dtype=float, ndmin=2)
         except ValueError as exc:
