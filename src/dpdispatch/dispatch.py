@@ -3,11 +3,13 @@
 Two solvers share one problem statement:
 
 * solve_exact -- depth-first branch-and-bound over the binary schedule.
-  Per-building prefix tables replace per-node thermal predictions, and a
-  cost-to-go bound (comfort and violation are separable per building; only
-  the tracking term couples them) prunes and orders the children. Globally
-  optimal, guarded to small instances; serves as the oracle for the
-  heuristic.
+  One thermal.prefix_temps call per solve gives every building's
+  temperature after each of its own control prefixes; the e*e, overshoot
+  and cost-to-go tables come from those arrays, and the cost-to-go bound
+  (comfort and violation are separable per building; only the tracking term
+  couples them) prunes and orders the children. The result is read from the
+  searched tables. Globally optimal, guarded to small instances; serves as
+  the oracle for the heuristic.
 * solve_priority_heuristic -- per-step comfort classification (must-ON /
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
@@ -29,7 +31,9 @@ from dpdispatch.thermal import (
     BuildingState,
     DiscreteThermalModel,
     DisturbanceTrace,
+    fleet_coefficients,
     predict_temp,
+    prefix_temps,
 )
 from dpdispatch.traces import Trace
 
@@ -97,7 +101,7 @@ class Schedule:
         u = np.asarray(self.u)
         if u.ndim != 2:
             raise ValueError("schedule must be a 2-D matrix")
-        if not np.isin(u, (0, 1)).all():
+        if not ((u == 0) | (u == 1)).all():
             raise ValueError("schedule entries must be 0 or 1")
         object.__setattr__(self, "u", u.astype(np.int8))
 
@@ -218,47 +222,6 @@ def _result_from_schedule(
 _BOUND_MARGIN = 1e-12
 
 
-def _prefix_tables(
-    model: DiscreteThermalModel,
-    temp: float,
-    dist: DisturbanceTrace,
-    n_p: int,
-    config: MPCConfig,
-) -> tuple[list[list[float]], list[list[float]]]:
-    """One building's e*e and overshoot after every own-control prefix.
-
-    Entry [k][p] is for the k + 1 controls given by the bits of p, the first
-    control the most significant, so prefix p at step k has the children
-    2p and 2p + 1 at step k + 1. The temperatures come from predict_temp in
-    the order the controls apply, as a per-node evaluation computes them.
-    """
-    c_lo, c_hi, x_r = config.comfort_min, config.comfort_max, config.setpoint_xr
-    temps = [temp]
-    e2, viol = [], []
-    for k in range(n_p):
-        t_out, q_sol = dist.t_out[k], dist.q_solar[k]
-        temps = [predict_temp(model, x, u, t_out, q_sol) for x in temps for u in (0, 1)]
-        e2.append([e * e for e in (x - x_r for x in temps)])
-        viol.append([
-            x - c_hi if x > c_hi + COMFORT_TOL else c_lo - x if x < c_lo - COMFORT_TOL else 0.0
-            for x in temps
-        ])
-    return e2, viol
-
-
-def _to_go(terms: list[list[float]]) -> list[list[float]]:
-    """Per prefix, the minimum over its completions of the terms still to come.
-
-    terms is indexed like _prefix_tables' tables; the result has the same
-    shape, zero at the last step.
-    """
-    to_go = [[0.0] * len(terms[-1])]
-    for k in range(len(terms) - 1, 0, -1):
-        with_term = [t + g for t, g in zip(terms[k], to_go[0])]
-        to_go.insert(0, [b if b < a else a for a, b in zip(with_term[0::2], with_term[1::2])])
-    return to_go
-
-
 def _column_sums(pairs: Sequence[Sequence[float]]) -> list[float]:
     """Per joint column, the sum over buildings of each building's term.
 
@@ -280,12 +243,14 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     feasible the minimal-total-violation schedule is returned with its
     violations marked.
 
-    A building's temperatures depend only on its own controls, so every
-    e*e and overshoot the search can meet is tabled once per solve over
-    each building's prefix tree (2 + 4 + ... + 2^H entries), and each
-    step's tracking term once per joint column. A child is evaluated
-    by lookups summed in the order a direct evaluation uses, so every
-    leaf's (violation, cost, key) is bit-identical to it.
+    A building's temperatures depend only on its own controls, so
+    thermal.prefix_temps gives, once per solve, each building's temperature
+    after every prefix of its own controls (2 + 4 + ... + 2^H entries, in
+    predict_temp's arithmetic), and every e*e and overshoot the search can
+    meet is taken from those arrays; each step's tracking term is tabled
+    once per joint column. A child is evaluated by lookups summed in the
+    order a direct evaluation uses, so every leaf's (violation, cost, key)
+    is bit-identical to it.
 
     Comfort and violation are separable per building and only the tracking
     term couples the buildings, so each building's cheapest completion of
@@ -301,6 +266,12 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     the result does not depend on the visiting order. Children are visited
     in order of (violation + bound, cost + bound, column index), so the
     first dive finds a strong incumbent.
+
+    The result is built from the searched tables: each building's
+    temperatures along its chosen prefixes, each step's draw from the joint
+    column sums, and the incumbent's cost, accumulated in cost()'s order.
+    Every field equals the one predict_trajectories, aggregate_power and
+    cost() would give, to the bit, without running them.
     """
     n_p = _effective_horizon(problem, config)
     n_b = problem.n_buildings
@@ -311,15 +282,38 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
         )
 
     q_w, r_w = config.weight_q, config.weight_r
+    x_r, c_lo, c_hi = config.setpoint_xr, config.comfort_min, config.comfort_max
     column_choices = list(itertools.product((0, 1), repeat=n_b))
 
+    # level k: every building's temperature after each own-control prefix
+    # of k + 1 steps, and from it the e*e and overshoot there
+    dist = problem.disturbance_forecast
+    levels = prefix_temps(
+        fleet_coefficients(problem.models),
+        np.array([s.temp for s in problem.init_states]),
+        dist.t_out[:n_p],
+        dist.q_solar[:n_p],
+    )
+    # the whole tree side by side, level k in columns 2^(k+1) - 2 on
+    tree = np.concatenate(levels, axis=1)
+    level = [slice(2 ** (k + 1) - 2, 2 ** (k + 2) - 2) for k in range(n_p)]
+    e = tree - x_r
+    over = np.where(tree > c_hi + COMFORT_TOL, tree - c_hi,
+                    np.where(tree < c_lo - COMFORT_TOL, c_lo - tree, 0.0))
+    terms = np.stack([e * e, over])
+    # per prefix, the cheapest e*e and overshoot its completions still add:
+    # backward over the levels, the smaller of each pair of siblings
+    to_go = np.zeros_like(terms)
+    for k in range(n_p - 1, 0, -1):
+        with_term = terms[..., level[k]] + to_go[..., level[k]]
+        np.minimum(with_term[..., 0::2], with_term[..., 1::2], out=to_go[..., level[k - 1]])
+
+    def by_level(rows):  # [j][tree column] -> [k][j][p]
+        return [[row[cols] for row in rows] for cols in level]
+
     # [k][j][p]: building j's entry at step k for its own-control prefix p
-    per_building = [_prefix_tables(m, s.temp, problem.disturbance_forecast, n_p, config)
-                    for m, s in zip(problem.models, problem.init_states)]
-    e2 = [[t[0][k] for t in per_building] for k in range(n_p)]
-    viol = [[t[1][k] for t in per_building] for k in range(n_p)]
-    e2_to_go = list(zip(*(_to_go(t[0]) for t in per_building)))
-    viol_to_go = list(zip(*(_to_go(t[1]) for t in per_building)))
+    e2, viol = (by_level(rows) for rows in terms.tolist())
+    e2_to_go, viol_to_go = (by_level(rows) for rows in to_go.tolist())
 
     # [k][c]: tracking term of joint column c at step k, z summed in building
     # order as aggregate_power sums it; and the cheapest tracking still to
@@ -387,8 +381,26 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
 
     recurse(0, (0,) * n_b, 0.0, 0.0, [])
 
-    u = np.array(best["cols"]).T  # columns were collected per step
-    return _result_from_schedule(problem, u, config, infeasible=best["viol"] > 0)
+    # the result from the searched tables: each building's temperatures
+    # along its chosen prefixes, each step's draw from the column sums, and
+    # the incumbent's cost, summed in cost()'s order
+    schedule = Schedule(u=np.array(best["cols"]).T)  # columns were collected per step
+    u = schedule.u
+    rows = np.arange(n_b)
+    prefix = np.zeros(n_b, dtype=np.intp)
+    temps = np.empty((n_b, n_p))
+    for k in range(n_p):
+        prefix = 2 * prefix + u[:, k]
+        temps[:, k] = levels[k][rows, prefix]
+    column_index = (1 << np.arange(n_b - 1, -1, -1)) @ u  # itertools.product order
+    return DispatchResult(
+        schedule=schedule,
+        aggregate_kw=tuple(z_cols[c] for c in column_index.tolist()),
+        cost=best["cost"],
+        per_building_error=temps - x_r,
+        violations=_violations_from_temps(temps, config),
+        infeasible=best["viol"] > 0,
+    )
 
 
 def _comfort_classify(

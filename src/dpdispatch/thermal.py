@@ -134,6 +134,46 @@ def steady_state_temp(model: DiscreteThermalModel, u: int, v: tuple[float, float
     return drive / (1.0 - model.a_d)
 
 
+def fleet_coefficients(models: Sequence[DiscreteThermalModel]) -> np.ndarray:
+    """(4, n_buildings) rows a_d, b_d, g_d_temp, g_d_solar, one column per building."""
+    return np.array([[m.a_d, m.b_d, m.g_d_temp, m.g_d_solar] for m in models], dtype=float).T
+
+
+_CONTROLS = np.array([0.0, 1.0])
+
+
+def _step_fleet(coef: np.ndarray, x: np.ndarray, u: np.ndarray, t_out: float, q_solar: float):
+    """predict_temp on arrays, in its operation order; u holds 0.0 / 1.0."""
+    a_d, b_d, g_t, g_s = coef
+    return a_d * x + b_d * u + g_t * t_out + g_s * q_solar
+
+
+def prefix_temps(
+    coef: np.ndarray,
+    start: np.ndarray,
+    t_out: Sequence[float],
+    q_solar: Sequence[float],
+) -> list[np.ndarray]:
+    """Every building's temperature after every own-control prefix.
+
+    coef comes from fleet_coefficients, start holds the n_b start
+    temperatures, and the forecast gives one (t_out, q_solar) per level.
+    Level k is an (n_b, 2^(k+1)) array whose column p is the prefix of k + 1
+    controls given by the bits of p, the first control the most significant,
+    so column p at level k has the children 2p and 2p + 1 at level k + 1.
+    Each entry equals predict_temp chained along its prefix, to the bit.
+    """
+    n_b = len(start)
+    coef = coef[:, :, None, None]
+    x = np.asarray(start, dtype=float)[:, None]
+    levels = []
+    for t, q in zip(t_out, q_solar):
+        # each parent against both controls: column p's children land in 2p, 2p + 1
+        x = _step_fleet(coef, x[:, :, None], _CONTROLS, t, q).reshape(n_b, -1)
+        levels.append(x)
+    return levels
+
+
 def simulate_ensemble(
     models: Sequence[DiscreteThermalModel],
     states: Sequence[BuildingState],
@@ -152,20 +192,17 @@ def simulate_ensemble(
         raise ValueError("models/states count does not match schedule rows")
     if len(disturbances) < n_k:
         raise ValueError("disturbance trace shorter than schedule")
-    if not np.isin(schedule, (0, 1)).all():
+    if not ((schedule == 0) | (schedule == 1)).all():
         raise ValueError("schedule entries must be binary")
 
-    a_d = np.array([m.a_d for m in models])
-    b_d = np.array([m.b_d for m in models])
-    g_t = np.array([m.g_d_temp for m in models])
-    g_s = np.array([m.g_d_solar for m in models])
+    coef = fleet_coefficients(models)
     p_rate = np.array([m.p_rate for m in models])
+    u = schedule.astype(float)
 
     temps = np.empty((n_b, n_k))
     x = np.array([s.temp for s in states], dtype=float)
     for k in range(n_k):
-        u = schedule[:, k].astype(float)
-        x = a_d * x + b_d * u + g_t * disturbances.t_out[k] + g_s * disturbances.q_solar[k]
+        x = _step_fleet(coef, x, u[:, k], disturbances.t_out[k], disturbances.q_solar[k])
         temps[:, k] = x
-    aggregate_kw = p_rate @ schedule.astype(float)
+    aggregate_kw = p_rate @ u
     return temps, aggregate_kw

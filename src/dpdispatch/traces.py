@@ -72,6 +72,8 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
     naming the file and the row (the lines after the header count from 1,
     blank ones included), a row whose cell count differs from the header's,
     a cell that is not a finite number, and steps other than 0, 1, 2, ...
+    A file that does not decode as text, in its header or any row, is
+    refused naming the file and the first bad byte.
 
     A cell is accepted as `np.loadtxt` parses it: Python float syntax in
     ASCII (`nan` and `inf` included, then refused as non-finite), with
@@ -83,6 +85,15 @@ def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[
     path = Path(path)
     if not path.exists():
         raise TraceError(f"file not found: {path}")
+    try:
+        return _parse_table(path, header)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex()
+        raise TraceError(f"{path}: not {exc.encoding} text: byte 0x{bad}, {exc.reason}") from None
+
+
+def _parse_table(path: Path, header: list[str] | None) -> tuple[list[str], np.ndarray]:
+    """read_table's checks on an existing file; the text decoding may fail anywhere."""
     with path.open(newline="") as fh:
         try:
             found = next(csv.reader(fh))

@@ -60,6 +60,16 @@ def drop_last_column(name):
     return mutate
 
 
+def put_bad_byte(name, line_no):
+    """Put byte 0xff, which no UTF-8 text holds, after the first comma of a line."""
+    def mutate(out):
+        path = out / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line_no] = lines[line_no].replace(b",", b",\xff", 1)
+        path.write_bytes(b"".join(lines))
+    return mutate
+
+
 def set_cell(name, line_no, col, value):
     def edit(line):
         cells = line.rstrip("\r\n").split(",")
@@ -234,6 +244,8 @@ class TestReportCommand:
         (set_cell("flags.csv", 5, 2, "2"), "flags.csv: ref_clamped at step 4"),
         (set_cell("flags.csv", 5, 3, "0.5"), "flags.csv: target_clipped at step 4"),
         (set_cell("flags.csv", 5, 6, "-1"), "flags.csv: infeasible at step 4"),
+        (put_bad_byte("pv.csv", 10), "pv.csv: not utf-8 text: byte 0xff"),
+        (put_bad_byte("pv.csv", 0), "pv.csv: not utf-8 text: byte 0xff"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
@@ -242,6 +254,7 @@ class TestReportCommand:
         "results-violations-edited", "results-residual-edited", "results-n-on-fractional",
         "results-n-on-negative", "results-n-on-above-fleet", "flags-ref-clamped-2",
         "flags-target-clipped-half", "flags-infeasible-negative",
+        "pv-undecodable-cell", "pv-undecodable-header",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"

@@ -10,6 +10,7 @@ from dpdispatch.dispatch import (
     SolverGuardError,
     aggregate_power,
     classify_step,
+    _result_from_schedule,
     cost,
     predict_trajectories,
     receding_horizon_run,
@@ -269,6 +270,24 @@ class TestSolveExact:
         result = solve_exact(problem, config)
         assert result.cost == cost(problem, result.schedule, config)
 
+    def test_result_equals_one_built_from_its_schedule(self):
+        # the result comes from the searched tables; every field must equal
+        # the one predict_trajectories, aggregate_power and cost() give
+        rng_tied, rng_random = np.random.default_rng(20261018), np.random.default_rng(2024)
+        instances = [tied_instance(rng_tied) for _ in range(200)]
+        instances += [random_instance(rng_random) for _ in range(40)]
+        for problem, config in instances:
+            got = solve_exact(problem, config)
+            want = _result_from_schedule(problem, got.schedule.u, config, got.infeasible)
+            assert got.schedule.u.dtype == want.schedule.u.dtype
+            assert got.schedule.u.tolist() == want.schedule.u.tolist()
+            assert got.aggregate_kw == want.aggregate_kw
+            assert got.cost == want.cost
+            assert got.per_building_error.shape == want.per_building_error.shape
+            assert got.per_building_error.tobytes() == want.per_building_error.tobytes()
+            assert got.violations == want.violations
+            assert got.infeasible == want.infeasible
+
 
 class TestPriorityHeuristic:
     def test_zero_reference_all_off(self):
@@ -361,15 +380,15 @@ class TestScalarReference:
         21.537, 24.637, 22.337, 23.837, 23.037, 22.637, 24.237, 21.937,
     )
 
-    def _problem(self, reference):
+    def _problem(self, reference, n_buildings=len(START), t_out=28.0):
         models = [
             make_model(
                 a_d=0.9 + 0.01 * (j % 8), b_d=-0.7 - 0.07 * (j % 8), g_t=0.06 + 0.005 * (j % 8),
                 g_s=0.03, p_rate=self.P_RATES[j % len(self.P_RATES)],
             )
-            for j in range(len(self.START))
+            for j in range(n_buildings)
         ]
-        return make_problem(models, self.START, reference, t_out=28.0, q_solar=0.4)
+        return make_problem(models, self.START[:n_buildings], reference, t_out=t_out, q_solar=0.4)
 
     # weight_q = 0 leaves the comfort sums alone in the cost, so a change in
     # their summation order is not hidden by the larger tracking terms
@@ -388,6 +407,21 @@ class TestScalarReference:
         assert (result.per_building_error == error).all()
         for k in range(result.schedule.n_steps):
             assert aggregate_power(result.schedule, k, self.P_RATES * 4) == aggregate[k]
+
+    # the exact benchmark's shape: 4 buildings x horizon 5, 20 binaries; a
+    # hot day, so the optimum leaves the band on both sides and the two
+    # weight settings pick different schedules
+    @pytest.mark.parametrize("weight_q, weight_r", [(1.0, 10.0), (0.0, 1.0)])
+    def test_exact_matches_scalar_loops(self, weight_q, weight_r):
+        problem = self._problem([7.3, 12.9, 3.1, 18.45, 9.99], n_buildings=4, t_out=35.0)
+        config = MPCConfig(horizon_np=5, weight_q=weight_q, weight_r=weight_r)
+        result = solve_exact(problem, config)
+        aggregate, total, error, violations = scalar_reference(problem, result.schedule, config)
+        assert {np.sign(error[j, k]) for j, k, _ in violations} == {-1.0, 1.0}
+        assert result.aggregate_kw == aggregate
+        assert result.cost == total
+        assert result.violations == violations
+        assert result.per_building_error.tobytes() == error.tobytes()
 
     def test_too_few_schedule_columns(self):
         problem = self._problem([1.0, 2.0, 3.0])

@@ -10,6 +10,9 @@ from dpdispatch.thermal import (
     DiscreteThermalModel,
     DisturbanceTrace,
     discretize,
+    fleet_coefficients,
+    predict_temp,
+    prefix_temps,
     simulate_ensemble,
     steady_state_temp,
     step,
@@ -175,3 +178,81 @@ class TestSimulateEnsemble:
                 [make_model()], [BuildingState(temp=23.0)] * 2, np.zeros((2, 2), dtype=int),
                 DisturbanceTrace(t_out=(30.0,) * 2, q_solar=(0.0,) * 2),
             )
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal signs, so 0.0 and -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(((a == b) & (np.signbit(a) == np.signbit(b))).all())
+
+
+class TestPrefixTemps:
+    """The prefix-tree kernel against predict_temp chained along each prefix."""
+
+    BAND_EDGES = (22.5, 23.5, 22.5 - 1e-9, 23.5 + 1e-9, 22.4999999, 23.5000001)
+
+    def random_fleet(self, rng, n_b):
+        models = [
+            make_model(
+                a_d=float(rng.uniform(0.7, 1.0)), b_d=float(rng.uniform(-1.5, -0.2)),
+                g_t=float(rng.uniform(0.0, 0.3)), g_s=float(rng.uniform(0.0, 0.05)),
+                p_rate=float(rng.uniform(1.0, 6.0)),
+            )
+            for _ in range(n_b)
+        ]
+        starts = [float(rng.choice(self.BAND_EDGES)) if rng.random() < 0.6
+                  else float(rng.uniform(21.0, 25.0)) for _ in range(n_b)]
+        return models, starts
+
+    def chained(self, model, start, bits, t_out, q_solar):
+        x = start
+        for u, t, q in zip(bits, t_out, q_solar):
+            x = predict_temp(model, x, u, t, q)
+        return x
+
+    def check_every_prefix(self, models, starts, t_out, q_solar):
+        levels = prefix_temps(fleet_coefficients(models), np.array(starts), t_out, q_solar)
+        assert len(levels) == len(t_out)
+        for k, level in enumerate(levels):
+            assert level.shape == (len(models), 2 ** (k + 1))
+            want = [
+                [self.chained(m, x0, [(p >> (k - i)) & 1 for i in range(k + 1)], t_out, q_solar)
+                 for p in range(2 ** (k + 1))]
+                for m, x0 in zip(models, starts)
+            ]
+            assert same_bits(level, want)
+        return levels
+
+    def test_every_entry_is_predict_temp_along_its_prefix(self):
+        rng = np.random.default_rng(20261018)
+        for horizon in range(1, 7):
+            for _ in range(8):
+                models, starts = self.random_fleet(rng, int(rng.integers(1, 6)))
+                t_out = [float(v) for v in rng.uniform(15.0, 40.0, horizon)]
+                q_solar = [float(v) for v in rng.uniform(0.0, 1.0, horizon)]
+                self.check_every_prefix(models, starts, t_out, q_solar)
+
+    def test_signed_zeros_follow_predict_temp(self):
+        # every OFF term is -0.0, so the all-OFF prefix stays -0.0 only if
+        # b_d is multiplied by 0.0 and each term is added in predict_temp's order
+        models = [make_model(a_d=1.0, b_d=-1.0, g_t=0.0, g_s=0.0), make_model(a_d=0.5, b_d=0.25)]
+        levels = self.check_every_prefix(models, [-0.0, 0.0], [-1.0, -2.0, -0.5], [-1.0, -0.5, -2.0])
+        assert np.signbit(levels[-1][0, 0]) and levels[-1][0, 0] == 0.0
+
+    def test_simulate_ensemble_is_a_path_through_the_tree(self):
+        rng = np.random.default_rng(7)
+        for horizon in range(1, 7):
+            models, starts = self.random_fleet(rng, 4)
+            t_out = tuple(float(v) for v in rng.uniform(15.0, 40.0, horizon))
+            q_solar = tuple(float(v) for v in rng.uniform(0.0, 1.0, horizon))
+            schedule = rng.integers(0, 2, size=(4, horizon))
+            temps, agg = simulate_ensemble(
+                models, [BuildingState(temp=x) for x in starts], schedule,
+                DisturbanceTrace(t_out=t_out, q_solar=q_solar),
+            )
+            levels = prefix_temps(fleet_coefficients(models), np.array(starts), t_out, q_solar)
+            prefix = np.zeros(4, dtype=int)
+            for k in range(horizon):
+                prefix = 2 * prefix + schedule[:, k]
+                assert same_bits(temps[:, k], levels[k][np.arange(4), prefix])
+            assert same_bits(agg, np.array([m.p_rate for m in models]) @ schedule.astype(float))

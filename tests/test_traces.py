@@ -142,3 +142,20 @@ def test_matches_reference_parser_on_damaged_files(tmp_path, data, values):
         return
     assert expected is not None, f"accepted; the reference refuses with {error!r}"
     assert table.tobytes() == expected.tobytes()
+
+
+def test_undecodable_byte_named_wherever_it_sits(tmp_path):
+    # the header, a first row, and a row past the text reader's first chunk,
+    # which only the body parse and the row walk decode
+    path = tmp_path / "t.csv"
+    write_csv(path, ["step", "v"], ((k, k / 7) for k in range(2000)))
+    data = path.read_bytes()
+    assert len(data) > 4 * io.DEFAULT_BUFFER_SIZE
+    for at in (2, data.index(b"\n") + 3, len(data) - 4):
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        try:
+            read_table(path)
+        except TraceError as exc:
+            assert str(exc) == f"{path}: not utf-8 text: byte 0xff, invalid start byte"
+        else:
+            raise AssertionError(f"byte 0xff at {at} accepted")
