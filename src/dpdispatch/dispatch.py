@@ -14,15 +14,24 @@ Two solvers share one problem statement:
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
 
-Costs are accumulated with plain scalar arithmetic in a fixed order so that a
-solver's reported cost is bit-identical to a recomputation via cost().
+Every float sum is a left fold in a fixed order, so that outputs are
+bit-identical across builds and Python versions and a solver's reported cost
+equals a recomputation via cost() to the bit. Builtin sum() is avoided: from
+Python 3.12 it compensates float sums and rounds differently. The fleet sums
+of p_rate (must-ON and free draw, capacity, mean free rating) go through
+_left_sum, which starts at int 0 so an empty set sums to int 0, as sum() did;
+a column's draw is the left fold from 0.0 over the ratings of its ON units;
+cost()'s per-step comfort sums are np.add.accumulate down the building axis,
+which adds in building order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,39 +139,43 @@ def _effective_horizon(problem: DispatchProblem, config: MPCConfig) -> int:
     return min(config.horizon_np, len(problem.reference))
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """values summed left to right from int 0, so no values give int 0.
+
+    Builtin sum() gives the same up to Python 3.11; from 3.12 it compensates
+    float sums and rounds differently.
+    """
+    return reduce(add, values, 0)
+
+
 def aggregate_power(schedule: Schedule, k: int, p_rates: Sequence[float]) -> float:
     """Fleet draw z(k) = sum_j u_j(k) * p_rate_j; p_rate = 1 gives the bare count."""
     if not (0 <= k < schedule.n_steps):
         raise IndexError(f"step {k} outside schedule with {schedule.n_steps} columns")
-    # Float sums stay sequential left-to-right loops: np.dot, np.sum and
-    # sum() (compensated from Python 3.12) may round differently, and the
-    # outputs must stay bit-identical for any p_rate.
-    col = schedule.u[:, k].tolist()
-    z = 0.0
-    for j in range(schedule.n_buildings):
-        z += col[j] * p_rates[j]
-    return z
+    # A left fold from 0.0 over the ON units' ratings, in building order:
+    # with u in {0, 1} it equals the loop z += u_j * p_rate_j to the bit,
+    # where np.dot, np.sum and sum() (compensated from Python 3.12) may round
+    # differently; the outputs must stay bit-identical for any p_rate.
+    return reduce(add, itertools.compress(p_rates, schedule.u[:, k].tolist()), 0.0)
 
 
 def predict_trajectories(
     problem: DispatchProblem, schedule: Schedule, n_steps: int
 ) -> np.ndarray:
     """Predicted temperatures (n_buildings, n_steps) under a schedule."""
-    u_rows = schedule.u.tolist()
+    models = problem.models
+    u_cols = schedule.u.T.tolist()
     t_out = problem.disturbance_forecast.t_out
     q_solar = problem.disturbance_forecast.q_solar
-    rows = []
-    for j in range(problem.n_buildings):
-        m = problem.models[j]
-        u_j = u_rows[j]
-        x = problem.init_states[j].temp
-        row = []
-        # indexing, not zip: too few columns or forecast steps raise IndexError
-        for k in range(n_steps):
-            x = predict_temp(m, x, u_j[k], t_out[k], q_solar[k])
-            row.append(x)
-        rows.append(row)
-    return np.array(rows)
+    x = [s.temp for s in problem.init_states]
+    cols = []
+    # the fleet one step at a time; indexing the steps, not zip, so too few
+    # columns or forecast steps raise IndexError
+    for k in range(n_steps):
+        u_k, t, q = u_cols[k], t_out[k], q_solar[k]
+        x = [predict_temp(m, x_j, u_j, t, q) for m, x_j, u_j in zip(models, x, u_k)]
+        cols.append(x)
+    return np.array(cols).reshape(n_steps, len(x)).T
 
 
 def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> float:
@@ -175,16 +188,15 @@ def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> flo
     if schedule.n_buildings != problem.n_buildings or schedule.n_steps < n_p:
         raise ValueError("schedule dimensions inconsistent with problem")
     p_rates = [m.p_rate for m in problem.models]
-    temps_by_step = predict_trajectories(problem, schedule, n_p).T.tolist()
+    e = predict_trajectories(problem, schedule, n_p) - config.setpoint_xr
+    # per step, sum_i e_i^2 added in building order; accumulate is sequential,
+    # and its start at e_0^2 instead of 0.0 + e_0^2 changes no bit
+    e_sums = np.add.accumulate(e * e, axis=0)[-1].tolist()
     j_total = 0.0
     for k in range(n_p):
         z = aggregate_power(schedule, k, p_rates)
         track = config.weight_q * (z - problem.reference[k]) ** 2
-        e_sum = 0.0
-        for t in temps_by_step[k]:
-            e = t - config.setpoint_xr
-            e_sum += e * e
-        j_total += track + config.weight_r * e_sum
+        j_total += track + config.weight_r * e_sums[k]
     return j_total
 
 
@@ -403,45 +415,37 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     )
 
 
-def _comfort_classify(
-    model: DiscreteThermalModel,
-    temp: float,
-    v: tuple[float, float],
-    config: MPCConfig,
-) -> tuple[int | None, bool]:
-    """(forced mode or None if free, simultaneous-override flag)."""
-    t_out, q_sol = v
-    temp_off = predict_temp(model, temp, 0, t_out, q_sol)
-    temp_on = predict_temp(model, temp, 1, t_out, q_sol)
-    must_on = temp_off > config.comfort_max
-    must_off = temp_on < config.comfort_min
-    if must_on and must_off:
-        # band narrower than the one-step swing: take the control landing
-        # closer to the setpoint and flag the step infeasible
-        pick = 0 if abs(temp_off - config.setpoint_xr) <= abs(temp_on - config.setpoint_xr) else 1
-        return pick, True
-    if must_on:
-        return 1, False
-    if must_off:
-        return 0, False
-    return None, False
-
-
 def classify_step(
     models: Sequence[DiscreteThermalModel],
     temps: Sequence[float],
     v: tuple[float, float],
     config: MPCConfig,
 ):
-    """Split the fleet into must-ON, must-OFF, and free units for one step."""
+    """Split the fleet into must-ON, must-OFF, and free units for one step.
+
+    A unit is must-ON when OFF would end above comfort_max and must-OFF when
+    ON would end below comfort_min. When both hold, the band is narrower
+    than the one-step swing: the unit takes the control landing closer to
+    the setpoint (OFF on a tie) and the step is flagged infeasible.
+    """
+    t_out, q_sol = v
+    c_lo, c_hi, x_r = config.comfort_min, config.comfort_max, config.setpoint_xr
     must_on, must_off, free = [], [], []
     infeasible = False
     for j, m in enumerate(models):
-        forced, simultaneous = _comfort_classify(m, temps[j], v, config)
-        infeasible = infeasible or simultaneous
-        if forced == 1:
-            must_on.append(j)
-        elif forced == 0:
+        x = temps[j]
+        temp_off = predict_temp(m, x, 0, t_out, q_sol)
+        temp_on = predict_temp(m, x, 1, t_out, q_sol)
+        if temp_off > c_hi:
+            if temp_on < c_lo:
+                infeasible = True
+                if abs(temp_off - x_r) <= abs(temp_on - x_r):
+                    must_off.append(j)
+                else:
+                    must_on.append(j)
+            else:
+                must_on.append(j)
+        elif temp_on < c_lo:
             must_off.append(j)
         else:
             free.append(j)
@@ -460,28 +464,36 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
     n_b = problem.n_buildings
     models = problem.models
     p_rates = [m.p_rate for m in models]
+    rate = p_rates.__getitem__
+    c_lo = config.comfort_min
+    dist = problem.disturbance_forecast
     u = np.zeros((n_b, n_p), dtype=np.int8)
     temps = [s.temp for s in problem.init_states]
     any_infeasible = False
 
     for k in range(n_p):
-        v = (problem.disturbance_forecast.t_out[k], problem.disturbance_forecast.q_solar[k])
-        must_on, must_off, free, infeasible = classify_step(models, temps, v, config)
+        t_out, q_sol = dist.t_out[k], dist.q_solar[k]
+        must_on, must_off, free, infeasible = classify_step(models, temps, (t_out, q_sol), config)
         any_infeasible = any_infeasible or infeasible
-        forced_kw = sum(p_rates[j] for j in must_on)
+        forced_kw = _left_sum(map(rate, must_on))
         residual = problem.reference[k] - forced_kw
         if free:
-            mean_rate = sum(p_rates[j] for j in free) / len(free)
+            mean_rate = _left_sum(map(rate, free)) / len(free)
             target = int(np.floor(residual / mean_rate + 0.5))  # round-half-up
             target = max(0, min(len(free), target))
         else:
             target = 0
-        # hottest free units first: largest headroom above comfort_min
-        ranked = sorted(free, key=lambda j: (-(temps[j] - config.comfort_min), j))
-        on_set = set(must_on) | set(ranked[:target])
-        col = [1 if j in on_set else 0 for j in range(n_b)]
+        # hottest free units first: largest headroom above comfort_min, i.e.
+        # smallest c_lo - temp; the sort is stable and free is in index
+        # order, so ties go to the lowest index
+        ranked = sorted(free, key=lambda j: c_lo - temps[j])
+        col = [0] * n_b
+        for j in must_on:
+            col[j] = 1
+        for j in ranked[:target]:
+            col[j] = 1
         u[:, k] = col
-        temps = [predict_temp(m, x, uj, v[0], v[1]) for m, x, uj in zip(models, temps, col)]
+        temps = [predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, temps, col)]
 
     return _result_from_schedule(problem, u, config, infeasible=any_infeasible)
 
@@ -519,8 +531,9 @@ def receding_horizon_run(
     except KeyError:
         raise ValueError(f"unknown solver {solver_choice!r}; expected one of {sorted(SOLVERS)}")
 
-    capacity = sum(m.p_rate for m in models)
     p_rates = [m.p_rate for m in models]
+    rate = p_rates.__getitem__
+    capacity = _left_sum(p_rates)
     raw_ref = reference.values
     clamped = [min(max(r, 0.0), capacity) for r in raw_ref]
     ref_clamped = tuple(c != r for c, r in zip(clamped, raw_ref))
@@ -530,6 +543,7 @@ def receding_horizon_run(
     must_on_kw, free_kw, target_clipped = [], [], []
     infeasible_steps = []
 
+    cur_temps = [s.temp for s in states]
     for t in range(n_steps):
         horizon = min(config.horizon_np, n_steps - t)
         problem = DispatchProblem(
@@ -545,11 +559,12 @@ def receding_horizon_run(
         result = solver(problem, config)
 
         # envelope bookkeeping on the true (realized) state, solver-agnostic
-        v = (disturbances.t_out[t], disturbances.q_solar[t])
-        cur_temps = [s.temp for s in states]
-        must_on, _must_off, free, infeasible = classify_step(models, cur_temps, v, config)
-        forced = sum(p_rates[j] for j in must_on)
-        dispatchable = sum(p_rates[j] for j in free)
+        t_out, q_sol = disturbances.t_out[t], disturbances.q_solar[t]
+        must_on, _must_off, free, infeasible = classify_step(
+            models, cur_temps, (t_out, q_sol), config
+        )
+        forced = _left_sum(map(rate, must_on))
+        dispatchable = _left_sum(map(rate, free))
         must_on_kw.append(forced)
         free_kw.append(dispatchable)
         target_clipped.append(not (forced <= clamped[t] <= forced + dispatchable))
@@ -557,15 +572,12 @@ def receding_horizon_run(
             infeasible_steps.append(t)
 
         first_col = result.schedule.u[:, 0].tolist()
-        z = 0.0
-        for j in range(n_b):
-            uj = first_col[j]
-            states[j] = BuildingState(
-                temp=predict_temp(models[j], states[j].temp, uj, v[0], v[1]), mode=uj
-            )
-            z += uj * p_rates[j]
-        temps_hist[:, t] = [s.temp for s in states]
-        agg.append(z)
+        cur_temps = [
+            predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, cur_temps, first_col)
+        ]
+        states = [BuildingState(temp=x, mode=uj) for x, uj in zip(cur_temps, first_col)]
+        temps_hist[:, t] = cur_temps
+        agg.append(reduce(add, itertools.compress(p_rates, first_col), 0.0))  # as aggregate_power
         n_on.append(sum(first_col))
 
     if noise_kw is None:

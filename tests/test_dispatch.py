@@ -8,6 +8,7 @@ from dpdispatch.dispatch import (
     MPCConfig,
     Schedule,
     SolverGuardError,
+    _left_sum,
     aggregate_power,
     classify_step,
     _result_from_schedule,
@@ -17,7 +18,7 @@ from dpdispatch.dispatch import (
     solve_exact,
     solve_priority_heuristic,
 )
-from dpdispatch.thermal import BuildingState, DiscreteThermalModel, DisturbanceTrace
+from dpdispatch.thermal import BuildingState, DiscreteThermalModel, DisturbanceTrace, predict_temp
 from dpdispatch.traces import Trace
 
 COMFORT_TOL = 1e-9
@@ -452,6 +453,169 @@ class TestClassifyStep:
 
     def test_free_in_band(self):
         assert self.classify(23.0, 29.0) == ([], [], [0], False)
+
+
+def rules_classify(models, temps, v, config):
+    """classify_step's rules one building at a time, written out plainly.
+
+    Each building's (forced mode or None, swing flag) comes from its OFF and
+    ON predictions; the fleet split collects them in index order.
+    """
+
+    def one(model, temp):
+        temp_off = predict_temp(model, temp, 0, v[0], v[1])
+        temp_on = predict_temp(model, temp, 1, v[0], v[1])
+        must_on = temp_off > config.comfort_max
+        must_off = temp_on < config.comfort_min
+        if must_on and must_off:
+            near_off = abs(temp_off - config.setpoint_xr) <= abs(temp_on - config.setpoint_xr)
+            return (0 if near_off else 1), True
+        if must_on:
+            return 1, False
+        if must_off:
+            return 0, False
+        return None, False
+
+    must_on, must_off, free = [], [], []
+    infeasible = False
+    for j, m in enumerate(models):
+        forced, swing = one(m, temps[j])
+        infeasible = infeasible or swing
+        {1: must_on, 0: must_off, None: free}[forced].append(j)
+    return must_on, must_off, free, infeasible
+
+
+def rules_greedy_schedule(problem, config):
+    """solve_priority_heuristic's schedule by the plain rules.
+
+    Fleet sums are explicit left folds from int 0, the ranking sorts on
+    (-(temp - comfort_min), index) and the column is built from a set.
+    """
+    n_b = problem.n_buildings
+    n_p = min(config.horizon_np, len(problem.reference))
+    models = problem.models
+    p_rates = [m.p_rate for m in models]
+    temps = [s.temp for s in problem.init_states]
+    u = np.zeros((n_b, n_p), dtype=int)
+    for k in range(n_p):
+        v = (problem.disturbance_forecast.t_out[k], problem.disturbance_forecast.q_solar[k])
+        must_on, _, free, _ = rules_classify(models, temps, v, config)
+        forced_kw = 0
+        for j in must_on:
+            forced_kw = forced_kw + p_rates[j]
+        target = 0
+        if free:
+            free_kw = 0
+            for j in free:
+                free_kw = free_kw + p_rates[j]
+            residual = problem.reference[k] - forced_kw
+            target = int(np.floor(residual / (free_kw / len(free)) + 0.5))
+            target = max(0, min(len(free), target))
+        ranked = sorted(free, key=lambda j: (-(temps[j] - config.comfort_min), j))
+        on_set = set(must_on) | set(ranked[:target])
+        for j in range(n_b):
+            u[j, k] = 1 if j in on_set else 0
+        col = u[:, k].tolist()
+        temps = [predict_temp(m, x, uj, v[0], v[1]) for m, x, uj in zip(models, temps, col)]
+    return u
+
+
+# predictions of the identity model land exactly on its start (OFF) and one
+# degree below it (ON), so starts of 23.5 and 22.5 put them on the band edges
+EDGE_MODEL = make_model(a_d=1.0, b_d=-1.0, g_t=0.0, p_rate=4.3)
+# a swing of 2 degC in a 1 degC band: at 23.0 degC and 25 degC outside, OFF
+# lands on 24.0 and ON on 22.0, equally far from the setpoint
+SWING_MODEL = make_model(a_d=0.5, b_d=-2.0, g_t=0.5, p_rate=3.7)
+SWING_V = (25.0, 0.0)
+
+
+def random_fleet(rng, n_b):
+    """Random, edge and swing buildings with starts on and off the band edges."""
+    models, temps = [], []
+    for _ in range(n_b):
+        kind = rng.integers(3)
+        if kind == 0:
+            models.append(make_model(
+                a_d=float(rng.uniform(0.7, 0.98)), b_d=float(rng.uniform(-1.5, -0.3)),
+                g_t=float(rng.uniform(0.02, 0.25)), g_s=float(rng.uniform(0.0, 0.05)),
+                p_rate=float(rng.uniform(1.0, 6.0)),
+            ))
+        else:
+            models.append(EDGE_MODEL if kind == 1 else SWING_MODEL)
+        temps.append(float(rng.choice([21.5, 22.5, 22.8, 23.0, 23.2, 23.5, 24.5])))
+    return models, temps
+
+
+class TestRulesParity:
+    """classify_step, the greedy pick and aggregate_power against the plain rules."""
+
+    @pytest.mark.parametrize("v", [SWING_V, (30.0, 0.4), (20.0, 0.0), (36.0, 1.0)])
+    def test_classify_matches_rules_on_random_fleets(self, v):
+        rng = np.random.default_rng(13)
+        config = MPCConfig()
+        for _ in range(40):
+            models, temps = random_fleet(rng, int(rng.integers(1, 60)))
+            split = classify_step(models, temps, v, config)
+            assert split == rules_classify(models, temps, v, config)
+
+    def test_band_edges_are_not_forced(self):
+        # OFF at exactly comfort_max and ON at exactly comfort_min stay free
+        split = classify_step([EDGE_MODEL] * 4, [23.5, 22.5, 24.5, 21.5], (30.0, 0.0), MPCConfig())
+        assert split == ([2], [1, 3], [0], False)
+
+    def test_equidistant_swing_takes_off(self):
+        config = MPCConfig()
+        assert predict_temp(SWING_MODEL, 23.0, 0, *SWING_V) - 23.0 == 23.0 - predict_temp(
+            SWING_MODEL, 23.0, 1, *SWING_V
+        )
+        # 23.0 ties and goes OFF; 23.2 lands closer with ON
+        split = classify_step([SWING_MODEL] * 2, [23.0, 23.2], SWING_V, config)
+        assert split == ([1], [0], [], True)
+        assert split == rules_classify([SWING_MODEL] * 2, [23.0, 23.2], SWING_V, config)
+
+    def test_equal_temperatures_lowest_index_first(self):
+        m = make_model(a_d=1.0, b_d=-0.3, g_t=0.0, p_rate=4.3)
+        problem = make_problem([m] * 5, [23.0] * 5, [8.6], t_out=0.0)
+        result = solve_priority_heuristic(problem, MPCConfig(horizon_np=1))
+        assert result.schedule.u[:, 0].tolist() == [1, 1, 0, 0, 0]
+
+    def test_greedy_matches_rules_with_tied_temperatures(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n_b = int(rng.integers(2, 40))
+            # few distinct models and starts, so many free units tie
+            kinds = [make_model(a_d=0.92, p_rate=4.3), make_model(a_d=0.9, b_d=-0.7, p_rate=5.1)]
+            models = [kinds[i] for i in rng.integers(2, size=n_b)]
+            temps = [float(t) for t in rng.choice([22.8, 23.0, 23.2], size=n_b)]
+            reference = [float(r) for r in rng.uniform(0.0, 4.3 * n_b, size=6)]
+            problem = make_problem(models, temps, reference, t_out=float(rng.choice([28.0, 30.0])))
+            config = MPCConfig(horizon_np=6)
+            u = solve_priority_heuristic(problem, config).schedule.u
+            assert (u == rules_greedy_schedule(problem, config)).all()
+
+    @pytest.mark.parametrize("on", [0, 1])
+    def test_aggregate_power_uniform_columns(self, on):
+        rng = np.random.default_rng(41)
+        for ratings in ([4.3] * 37, [float(r) for r in rng.uniform(1.0, 6.0, size=53)]):
+            u = np.full((len(ratings), 2), on)
+            z = 0.0
+            for j in range(len(ratings)):
+                z += on * ratings[j]
+            assert aggregate_power(Schedule(u=u), 1, ratings) == z
+            assert type(aggregate_power(Schedule(u=u), 1, ratings)) is float
+
+
+class TestLeftSum:
+    def test_equals_explicit_left_fold(self):
+        for k in range(51):
+            acc = 0
+            for v in [4.3] * k:
+                acc = acc + v
+            assert _left_sum([4.3] * k) == acc
+
+    def test_empty_is_int_zero(self):
+        assert _left_sum([]) == 0
+        assert type(_left_sum([])) is int
 
 
 class TestRecedingHorizon:
