@@ -164,6 +164,8 @@ def predict_trajectories(
 ) -> np.ndarray:
     """Predicted temperatures (n_buildings, n_steps) under a schedule."""
     models = problem.models
+    if schedule.n_buildings < len(models):
+        raise IndexError(f"schedule has {schedule.n_buildings} rows for {len(models)} buildings")
     u_cols = schedule.u.T.tolist()
     t_out = problem.disturbance_forecast.t_out
     q_solar = problem.disturbance_forecast.q_solar

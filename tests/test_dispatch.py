@@ -430,6 +430,12 @@ class TestScalarReference:
         with pytest.raises(IndexError):
             predict_trajectories(problem, sched, 3)
 
+    def test_too_few_schedule_rows(self):
+        problem = self._problem([1.0, 2.0, 3.0])
+        sched = Schedule(u=np.zeros((len(self.START) - 1, 3), dtype=int))
+        with pytest.raises(IndexError):
+            predict_trajectories(problem, sched, 3)
+
     def test_too_short_forecast(self):
         problem = self._problem([1.0, 2.0, 3.0])
         sched = Schedule(u=np.zeros((len(self.START), 4), dtype=int))
