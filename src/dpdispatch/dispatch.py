@@ -5,11 +5,12 @@ Two solvers share one problem statement:
 * solve_exact -- depth-first branch-and-bound over the binary schedule.
   One thermal.prefix_temps call per solve gives every building's
   temperature after each of its own control prefixes; the e*e, overshoot
-  and cost-to-go tables come from those arrays, and the cost-to-go bound
-  (comfort and violation are separable per building; only the tracking term
-  couples them) prunes and orders the children. The result is read from the
-  searched tables. Globally optimal, guarded to small instances; serves as
-  the oracle for the heuristic.
+  and cost-to-go tables come from those arrays, stacked into one array per
+  step, and a node expands all its children with one gather and one
+  accumulate. The cost-to-go bound (comfort and violation are separable per
+  building; only the tracking term couples them) prunes and orders the
+  children. The result is read from the searched tables. Globally optimal,
+  guarded to small instances; serves as the oracle for the heuristic.
 * solve_priority_heuristic -- per-step comfort classification (must-ON /
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
@@ -22,7 +23,11 @@ of p_rate (must-ON and free draw, capacity, mean free rating) go through
 _left_sum, which starts at int 0 so an empty set sums to int 0, as sum() did;
 a column's draw is the left fold from 0.0 over the ratings of its ON units;
 cost()'s per-step comfort sums are np.add.accumulate down the building axis,
-which adds in building order.
+which adds in building order. solve_exact takes every per-column sum (the
+draw, and at each node the e*e, overshoot and their cost-to-go) the same
+way, over the joint columns in itertools.product order, building 0 the most
+significant bit. Accumulate starts at the first building's term where the
+fold starts at 0.0; that changes no bit because no term is -0.0.
 """
 
 from __future__ import annotations
@@ -235,17 +240,51 @@ def _result_from_schedule(
 # prune never discards a leaf that ties with or beats the incumbent.
 _BOUND_MARGIN = 1e-12
 
+# Largest table the exact solver builds, in entries: its prefix tree holds
+# n_b * (2^(n_p+1) - 2) entries per table and a node gathers n_b * 2^n_b
+# per table. EXACT_GUARD alone lets a single building through up to horizon
+# 24 and 24 buildings at horizon 1, whose tables need gigabytes; this keeps
+# 1x19 and 16x1 and refuses 1x20 and 17x1.
+EXACT_TABLE_GUARD = 2**20
 
-def _column_sums(pairs: Sequence[Sequence[float]]) -> list[float]:
-    """Per joint column, the sum over buildings of each building's term.
 
-    pairs[j] holds building j's term for control 0 and 1; columns come in
-    itertools.product order and each sum is taken left to right from 0.0.
+def _level_tables(
+    problem: DispatchProblem, config: MPCConfig, n_p: int
+) -> tuple[np.ndarray, list[slice], list[np.ndarray]]:
+    """The prefix tree's temperatures and its four tables, one array per level.
+
+    Level k of thermal.prefix_temps, flattened building-major, is
+    tree[level[k]]: building j's prefix p of k + 1 controls sits at j *
+    2^(k+1) + p there, so the entry at q has its children at 2q and 2q + 1
+    of level k + 1, and building j's root is q = j. tables[k] is level k's
+    (4, n_b, 2^(k+1)) stack, flattened the same way: the e*e and overshoot
+    at each prefix and the cheapest e*e and overshoot its completions still
+    add. Every table entry is +0.0 or positive, so a sum of entries may start
+    at its first term instead of at 0.0.
     """
-    sums = [0.0]
-    for pair in pairs:
-        sums = [s + v for s in sums for v in pair]
-    return sums
+    x_r, c_lo, c_hi = config.setpoint_xr, config.comfort_min, config.comfort_max
+    dist = problem.disturbance_forecast
+    levels = prefix_temps(
+        fleet_coefficients(problem.models),
+        np.array([s.temp for s in problem.init_states]),
+        dist.t_out[:n_p],
+        dist.q_solar[:n_p],
+    )
+    n_b = len(problem.models)
+    tree = np.concatenate(levels, axis=None)
+    level = [slice(n_b * (2 ** (k + 1) - 2), n_b * (2 ** (k + 2) - 2)) for k in range(n_p)]
+    stack = np.zeros((4, tree.size))
+    e = tree - x_r
+    np.multiply(e, e, out=stack[0])
+    stack[1] = np.where(tree > c_hi + COMFORT_TOL, tree - c_hi,
+                        np.where(tree < c_lo - COMFORT_TOL, c_lo - tree, 0.0))
+    # per prefix, the cheapest e*e and overshoot its completions still add:
+    # backward over the levels, the smaller of each pair of siblings
+    terms, to_go = stack[:2], stack[2:]
+    for k in range(n_p - 1, 0, -1):
+        with_term = terms[:, level[k]] + to_go[:, level[k]]
+        np.minimum(with_term[:, 0::2], with_term[:, 1::2], out=to_go[:, level[k - 1]])
+    return tree, level, [np.ascontiguousarray(stack[:, lv]) for lv in level]
 
 
 def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
@@ -260,11 +299,15 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     A building's temperatures depend only on its own controls, so
     thermal.prefix_temps gives, once per solve, each building's temperature
     after every prefix of its own controls (2 + 4 + ... + 2^H entries, in
-    predict_temp's arithmetic), and every e*e and overshoot the search can
-    meet is taken from those arrays; each step's tracking term is tabled
-    once per joint column. A child is evaluated by lookups summed in the
-    order a direct evaluation uses, so every leaf's (violation, cost, key)
-    is bit-identical to it.
+    predict_temp's arithmetic), and _level_tables stacks every e*e and
+    overshoot the search can meet, with their cost-to-go, into one array per
+    step; each step's tracking term is tabled once per joint column. A node
+    expands all its children at once: the child prefixes 2*prefix + bits
+    (bits: one row per building, one column per joint column in
+    itertools.product order), one gather from the step's stack, and an
+    accumulate down the building axis, which sums in building order as a
+    direct evaluation does, so every leaf's (violation, cost, key) is
+    bit-identical to it.
 
     Comfort and violation are separable per building and only the tracking
     term couples the buildings, so each building's cheapest completion of
@@ -286,6 +329,10 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     column sums, and the incumbent's cost, accumulated in cost()'s order.
     Every field equals the one predict_trajectories, aggregate_power and
     cost() would give, to the bit, without running them.
+
+    Raises SolverGuardError, before any table is built, above EXACT_GUARD
+    binaries or when the prefix tree or a node's gather would exceed
+    EXACT_TABLE_GUARD entries.
     """
     n_p = _effective_horizon(problem, config)
     n_b = problem.n_buildings
@@ -294,54 +341,35 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
             f"instance size {n_b}x{n_p} exceeds the exact-solver guard "
             f"({EXACT_GUARD} binaries); use the priority heuristic"
         )
+    tree_entries, node_entries = n_b * (2 ** (n_p + 1) - 2), n_b * 2**n_b
+    if max(tree_entries, node_entries) > EXACT_TABLE_GUARD:
+        raise SolverGuardError(
+            f"instance size {n_b}x{n_p} needs tables of {tree_entries} prefix-tree "
+            f"and {node_entries} per-node entries, over the exact-solver guard "
+            f"({EXACT_TABLE_GUARD} entries); use the priority heuristic"
+        )
 
     q_w, r_w = config.weight_q, config.weight_r
-    x_r, c_lo, c_hi = config.setpoint_xr, config.comfort_min, config.comfort_max
-    column_choices = list(itertools.product((0, 1), repeat=n_b))
+    # bits[j, c]: building j's control in joint column c, building 0 the
+    # most significant bit of c, so the columns come in itertools.product
+    # order and a lower c is a lexicographically smaller column
+    bits = (np.arange(2**n_b) >> np.arange(n_b - 1, -1, -1)[:, None]) & 1
+    tree, level, tables = _level_tables(problem, config, n_p)
 
-    # level k: every building's temperature after each own-control prefix
-    # of k + 1 steps, and from it the e*e and overshoot there
-    dist = problem.disturbance_forecast
-    levels = prefix_temps(
-        fleet_coefficients(problem.models),
-        np.array([s.temp for s in problem.init_states]),
-        dist.t_out[:n_p],
-        dist.q_solar[:n_p],
-    )
-    # the whole tree side by side, level k in columns 2^(k+1) - 2 on
-    tree = np.concatenate(levels, axis=1)
-    level = [slice(2 ** (k + 1) - 2, 2 ** (k + 2) - 2) for k in range(n_p)]
-    e = tree - x_r
-    over = np.where(tree > c_hi + COMFORT_TOL, tree - c_hi,
-                    np.where(tree < c_lo - COMFORT_TOL, c_lo - tree, 0.0))
-    terms = np.stack([e * e, over])
-    # per prefix, the cheapest e*e and overshoot its completions still add:
-    # backward over the levels, the smaller of each pair of siblings
-    to_go = np.zeros_like(terms)
-    for k in range(n_p - 1, 0, -1):
-        with_term = terms[..., level[k]] + to_go[..., level[k]]
-        np.minimum(with_term[..., 0::2], with_term[..., 1::2], out=to_go[..., level[k - 1]])
-
-    def by_level(rows):  # [j][tree column] -> [k][j][p]
-        return [[row[cols] for row in rows] for cols in level]
-
-    # [k][j][p]: building j's entry at step k for its own-control prefix p
-    e2, viol = (by_level(rows) for rows in terms.tolist())
-    e2_to_go, viol_to_go = (by_level(rows) for rows in to_go.tolist())
-
-    # [k][c]: tracking term of joint column c at step k, z summed in building
-    # order as aggregate_power sums it; and the cheapest tracking still to
-    # come after step k
-    z_cols = _column_sums([(0.0, m.p_rate) for m in problem.models])
-    track = [[q_w * (z - problem.reference[k]) ** 2 for z in z_cols] for k in range(n_p)]
+    # per joint column the draw z, summed in building order as
+    # aggregate_power sums it; [k][c] the tracking term of column c at step
+    # k, with Python's float ** as cost() takes it (numpy's ** 2 squares,
+    # which rounds differently from libm's pow); and the cheapest tracking
+    # still to come after step k
+    p_rates = np.array([m.p_rate for m in problem.models])
+    z_cols = np.add.accumulate(bits * p_rates[:, None], axis=0)[-1].tolist()
+    track = np.array([[q_w * (z - ref) ** 2 for z in z_cols] for ref in problem.reference[:n_p]])
+    track_min = track.min(axis=1).tolist()
     track_to_go = [0.0] * n_p
     for k in range(n_p - 2, -1, -1):
-        track_to_go[k] = track_to_go[k + 1] + min(track[k + 1])
+        track_to_go[k] = track_to_go[k + 1] + track_min[k + 1]
 
     best: dict = {"viol": None, "cost": None, "key": None, "cols": None}
-
-    def row_major_key(cols: list[tuple[int, ...]]) -> tuple[int, ...]:
-        return tuple(cols[k][j] for j in range(n_b) for k in range(n_p))
 
     def worse_than_best(viol: float, cst: float) -> bool:
         if best["viol"] is None:
@@ -357,9 +385,9 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
             return True
         return viol >= best["viol"] and cost_bound > best["cost"] * (1.0 + _BOUND_MARGIN)
 
-    def recurse(k: int, prefix: tuple[int, ...], part_cost: float, part_viol: float, cols: list):
+    def recurse(k: int, prefix: np.ndarray, part_cost: float, part_viol: float, cols: list[int]):
         if k == n_p:
-            key = row_major_key(cols)
+            key = tuple(bits[:, cols].ravel().tolist())  # the schedule, row-major
             if (
                 best["viol"] is None
                 or part_viol < best["viol"]
@@ -369,49 +397,51 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
                 best.update(viol=part_viol, cost=part_cost, key=key, cols=list(cols))
             return
 
-        def sums(table):  # per column, the buildings' entries for the child prefixes
-            return _column_sums([t[2 * p : 2 * p + 2] for t, p in zip(table[k], prefix)])
-
+        # children[j, c]: building j's child prefix in joint column c; per
+        # column, the four tables summed over the buildings in building order
+        children = 2 * prefix[:, None] + bits
+        e_sum, viol_sum, e_go, viol_go = np.add.accumulate(
+            tables[k].take(children, axis=1), axis=1)[:, -1]
         # step cost = tracking + r * e_sum, added to the partial: cost()'s order
-        track_go = track_to_go[k]
-        new_costs = [part_cost + (t + r_w * e) for t, e in zip(track[k], sums(e2))]
-        new_viols = [part_viol + v for v in sums(viol)]
-        cost_bounds = [c + (track_go + r_w * g) for c, g in zip(new_costs, sums(e2_to_go))]
-        viol_bounds = [v + g for v, g in zip(new_viols, sums(viol_to_go))]
-        children = itertools.product(*((2 * p, 2 * p + 1) for p in prefix))
-        for viol_bound, cost_bound, c, new_cost, new_viol, child in sorted(
-            zip(viol_bounds, cost_bounds, range(len(column_choices)), new_costs, new_viols, children)
-        ):
+        new_costs = part_cost + (track[k] + r_w * e_sum)
+        new_viols = part_viol + viol_sum
+        cost_bounds = new_costs + (track_to_go[k] + r_w * e_go)
+        viol_bounds = new_viols + viol_go
+        # lexsort is stable, so equal bounds keep column order
+        order = np.lexsort((cost_bounds, viol_bounds)).tolist()
+        new_costs, new_viols = new_costs.tolist(), new_viols.tolist()
+        cost_bounds, viol_bounds = cost_bounds.tolist(), viol_bounds.tolist()
+        for c in order:
+            new_cost, new_viol = new_costs[c], new_viols[c]
             # both accumulators are monotone, so a partial already worse than
             # the incumbent cannot recover; equal partials must continue for
             # the lexicographic tie-break
             if worse_than_best(new_viol, new_cost):
                 continue
-            if bound_worse_than_best(viol_bound, cost_bound, new_viol):
+            if bound_worse_than_best(viol_bounds[c], cost_bounds[c], new_viol):
                 continue
-            cols.append(column_choices[c])
-            recurse(k + 1, child, new_cost, new_viol, cols)
+            cols.append(c)
+            recurse(k + 1, children[:, c], new_cost, new_viol, cols)
             cols.pop()
 
-    recurse(0, (0,) * n_b, 0.0, 0.0, [])
+    recurse(0, np.arange(n_b), 0.0, 0.0, [])
 
     # the result from the searched tables: each building's temperatures
     # along its chosen prefixes, each step's draw from the column sums, and
     # the incumbent's cost, summed in cost()'s order
-    schedule = Schedule(u=np.array(best["cols"]).T)  # columns were collected per step
-    u = schedule.u
-    rows = np.arange(n_b)
-    prefix = np.zeros(n_b, dtype=np.intp)
-    temps = np.empty((n_b, n_p))
-    for k in range(n_p):
-        prefix = 2 * prefix + u[:, k]
-        temps[:, k] = levels[k][rows, prefix]
-    column_index = (1 << np.arange(n_b - 1, -1, -1)) @ u  # itertools.product order
+    schedule = Schedule(u=bits[:, best["cols"]])
+    flat = []  # tree index of each building's prefix at each step
+    for j, row in enumerate(schedule.u.tolist()):
+        q = j
+        for lv, bit in zip(level, row):
+            q = 2 * q + bit
+            flat.append(lv.start + q)
+    temps = tree[flat].reshape(n_b, n_p)
     return DispatchResult(
         schedule=schedule,
-        aggregate_kw=tuple(z_cols[c] for c in column_index.tolist()),
+        aggregate_kw=tuple(z_cols[c] for c in best["cols"]),
         cost=best["cost"],
-        per_building_error=temps - x_r,
+        per_building_error=temps - config.setpoint_xr,
         violations=_violations_from_temps(temps, config),
         infeasible=best["viol"] > 0,
     )

@@ -131,6 +131,18 @@ class TestSimulateCommand:
         assert rc == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
 
+    def test_exact_solver_table_guard(self, tmp_path, capsys):
+        # 20 binaries pass the binary guard, but one building's prefix tree
+        # at horizon 20 has 2^21 - 2 entries per table
+        out = tmp_path / "run"
+        rc = main([
+            "simulate", "--config", small_config(tmp_path), "--out", str(out),
+            "--solver", "exact", "--n-buildings", "1", "--horizon", "20",
+        ])
+        assert rc == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "guard" in err and "1x20" in err and "2097150" in err
+
     def test_tree_has_no_byte_copies(self, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])

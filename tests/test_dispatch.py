@@ -7,8 +7,10 @@ from dpdispatch.dispatch import (
     DispatchProblem,
     MPCConfig,
     Schedule,
+    EXACT_TABLE_GUARD,
     SolverGuardError,
     _left_sum,
+    _level_tables,
     aggregate_power,
     classify_step,
     _result_from_schedule,
@@ -82,8 +84,8 @@ def oracle_best(problem, config):
     return best[0], best[1], u
 
 
-def random_instance(rng, max_binaries=12):
-    n_b = int(rng.integers(1, 5))
+def random_instance(rng, max_binaries=12, max_buildings=4):
+    n_b = int(rng.integers(1, max_buildings + 1))
     n_p = int(rng.integers(1, max(2, max_binaries // n_b + 1)))
     while n_b * n_p > max_binaries:
         n_p -= 1
@@ -112,7 +114,7 @@ def random_instance(rng, max_binaries=12):
     return problem, config
 
 
-def tied_instance(rng, max_binaries=10):
+def tied_instance(rng, max_binaries=10, max_buildings=4):
     """Instances random_instance rarely draws: exact ties and violations.
 
     Ratings are integers and references multiples of half a rating; one
@@ -122,7 +124,7 @@ def tied_instance(rng, max_binaries=10):
     floating point (a_d = 1, half-degree steps), so distinct schedules tie
     exactly.
     """
-    n_b = int(rng.integers(1, 5))
+    n_b = int(rng.integers(1, max_buildings + 1))
     n_p = max(1, min(int(rng.integers(1, 7)), max_binaries // n_b))
     p_rates = [float(r) for r in rng.integers(1, 4, size=n_b)]
     exact = rng.random() < 0.5
@@ -144,6 +146,31 @@ def tied_instance(rng, max_binaries=10):
     weight_q, weight_r = [(0.0, 10.0), (1.0, 0.0), (1.0, 10.0), (2.0, 1.0)][int(rng.integers(4))]
     problem = make_problem(models, temps, reference, t_out=float(rng.choice([15.0, 30.0, 40.0])))
     return problem, MPCConfig(horizon_np=n_p, weight_q=weight_q, weight_r=weight_r)
+
+
+def wide_instances(make, seed, count):
+    """count instances of 5 or 6 buildings (32 or 64 joint columns), <= 12 binaries."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < count:
+        problem, config = make(rng, max_binaries=12, max_buildings=6)
+        if problem.n_buildings >= 5:
+            instances.append((problem, config))
+    return instances
+
+
+def assert_result_from_its_schedule(problem, config):
+    """solve_exact's result equals, field by field, the one built from its schedule."""
+    got = solve_exact(problem, config)
+    want = _result_from_schedule(problem, got.schedule.u, config, got.infeasible)
+    assert got.schedule.u.dtype == want.schedule.u.dtype
+    assert got.schedule.u.tolist() == want.schedule.u.tolist()
+    assert got.aggregate_kw == want.aggregate_kw
+    assert got.cost == want.cost
+    assert got.per_building_error.shape == want.per_building_error.shape
+    assert got.per_building_error.tobytes() == want.per_building_error.tobytes()
+    assert got.violations == want.violations
+    assert got.infeasible == want.infeasible
 
 
 class TestSchedule:
@@ -278,16 +305,80 @@ class TestSolveExact:
         instances = [tied_instance(rng_tied) for _ in range(200)]
         instances += [random_instance(rng_random) for _ in range(40)]
         for problem, config in instances:
+            assert_result_from_its_schedule(problem, config)
+
+    # the node gather, the bits matrix and the accumulate change shape with
+    # the fleet; the default generators stop at 4 buildings (16 columns)
+    WIDE = {"random": (random_instance, 20261401), "tied": (tied_instance, 20261402)}
+
+    @pytest.mark.parametrize("kind", sorted(WIDE))
+    def test_matches_oracle_at_five_and_six_buildings(self, kind):
+        instances = wide_instances(*self.WIDE[kind], count=16)
+        assert {p.n_buildings for p, _ in instances} == {5, 6}
+        assert max(c.horizon_np for _, c in instances) == 2
+        for problem, config in instances:
             got = solve_exact(problem, config)
-            want = _result_from_schedule(problem, got.schedule.u, config, got.infeasible)
-            assert got.schedule.u.dtype == want.schedule.u.dtype
-            assert got.schedule.u.tolist() == want.schedule.u.tolist()
-            assert got.aggregate_kw == want.aggregate_kw
-            assert got.cost == want.cost
-            assert got.per_building_error.shape == want.per_building_error.shape
-            assert got.per_building_error.tobytes() == want.per_building_error.tobytes()
-            assert got.violations == want.violations
-            assert got.infeasible == want.infeasible
+            oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
+            assert got.cost == oracle_cost
+            assert got.schedule.u.tolist() == oracle_u.tolist()
+            assert got.infeasible == (oracle_viol > 0)
+
+    @pytest.mark.parametrize("kind", sorted(WIDE))
+    def test_result_equals_one_built_from_its_schedule_at_five_and_six_buildings(self, kind):
+        for problem, config in wide_instances(*self.WIDE[kind], count=40):
+            assert_result_from_its_schedule(problem, config)
+
+    def test_tables_hold_no_negative_zero(self):
+        # a node sums each table over the buildings starting at building 0's
+        # entry, where a fold from 0.0 adds it to +0.0; the two agree only
+        # because no entry is -0.0. Exact dynamics put temperatures on the
+        # setpoint and the band edges, so zeros occur.
+        rng_tied, rng_random = np.random.default_rng(20261018), np.random.default_rng(2024)
+        instances = [tied_instance(rng_tied) for _ in range(200)]
+        instances += [random_instance(rng_random) for _ in range(40)]
+        instances += wide_instances(tied_instance, 20261402, count=40)
+        n_zero = 0
+        for problem, config in instances:
+            n_p = min(config.horizon_np, len(problem.reference))
+            _, _, tables = _level_tables(problem, config, n_p)
+            for table in tables:
+                assert not np.signbit(table).any()
+                n_zero += int((table == 0.0).sum())
+        assert n_zero > 0
+
+    def test_tracking_term_squares_as_cost_does(self):
+        # cost() squares z - ref with Python's float **, which goes through
+        # libm's pow and differs from x * x (numpy's ** 2) in the last bit
+        # for about one difference in a thousand; take such a difference
+        # where this platform's pow shows it
+        rng = np.random.default_rng(14)
+        for ref in rng.uniform(4.0, 5.0, 100_000).tolist():
+            d = 5.0 - ref
+            if d ** 2 != d * d:
+                break
+        problem = make_problem([make_model(p_rate=5.0)], [23.0], [ref])
+        config = MPCConfig(horizon_np=1, weight_q=1.0, weight_r=0.0)
+        result = solve_exact(problem, config)
+        assert result.schedule.u.tolist() == [[1]]
+        assert result.cost == d ** 2
+        assert result.cost == cost(problem, result.schedule, config)
+
+    @pytest.mark.parametrize("n_b, n_p, entries", [(1, 20, 2**21 - 2), (17, 1, 17 * 2**17)],
+                             ids=["tree-1x20", "node-17x1"])
+    def test_table_guard_refusal(self, n_b, n_p, entries):
+        # within EXACT_GUARD's 24 binaries, but the prefix tree or one node's
+        # gather would exceed EXACT_TABLE_GUARD entries
+        assert n_b * n_p <= 24 and entries > EXACT_TABLE_GUARD
+        problem = make_problem([make_model()] * n_b, [23.0] * n_b, [2.0] * n_p)
+        with pytest.raises(SolverGuardError, match=f"{n_b}x{n_p} .* {entries} .*{EXACT_TABLE_GUARD} entries"):
+            solve_exact(problem, MPCConfig(horizon_np=n_p))
+
+    @pytest.mark.parametrize("n_b, n_p", [(1, 19), (16, 1)], ids=["tree-1x19", "node-16x1"])
+    def test_table_guard_admits_its_largest_instances(self, n_b, n_p):
+        problem = make_problem([make_model()] * n_b, [23.0 + 0.01 * j for j in range(n_b)],
+                               [2.5 * n_b] * n_p)
+        result = solve_exact(problem, MPCConfig(horizon_np=n_p))
+        assert result.schedule.u.shape == (n_b, n_p)
 
 
 class TestPriorityHeuristic:
