@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dpdispatch.dispatch import (
+    EXACT_TABLE_GUARD,
     DispatchProblem,
     MPCConfig,
     Schedule,
-    EXACT_TABLE_GUARD,
     SolverGuardError,
     _left_sum,
     _level_tables,
