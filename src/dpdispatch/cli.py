@@ -104,7 +104,7 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
     write_csv(
         out / "temperatures.csv",
         _temperatures_header(report.temps.shape[0]),
-        [(k, *report.temps[:, k]) for k in range(report.n_steps)],
+        ([k, *report.temps[:, k].tolist()] for k in range(report.n_steps)),
     )
     infeasible = set(report.infeasible_steps)
     write_csv(

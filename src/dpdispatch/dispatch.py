@@ -27,13 +27,22 @@ which adds in building order. solve_exact takes every per-column sum (the
 draw, and at each node the e*e, overshoot and their cost-to-go) the same
 way, over the joint columns in itertools.product order, building 0 the most
 significant bit. Accumulate starts at the first building's term where the
-fold starts at 0.0; that changes no bit because no term is -0.0.
+fold starts at 0.0; that changes no bit because no term is -0.0. The
+tracking residual d is squared as d * d everywhere, never with **, which
+CPython hands to the C library's pow.
+
+Every control passed to predict_temp is the float 0.0 or 1.0: b_d * 1.0 and
+b_d * 0.0 are the doubles b_d * 1 and b_d * 0 (-0.0 included), and the
+float operand takes CPython's float-times-float path. A schedule stays an
+int8 matrix, and n_on an int count. DispatchProblem.init_temps holds the
+start temperatures as floats, taken from init_states, which may hold
+BuildingState objects or plain temperatures; the solvers read init_temps.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -81,13 +90,17 @@ class MPCConfig:
 @dataclass(frozen=True)
 class DispatchProblem:
     models: tuple[DiscreteThermalModel, ...]
-    init_states: tuple[BuildingState, ...]
+    init_states: tuple[BuildingState | float, ...]
     disturbance_forecast: DisturbanceTrace
     reference: tuple[float, ...]  # net PV reference, kW per step
+    init_temps: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "init_states", tuple(self.init_states))
+        object.__setattr__(self, "init_temps", [
+            float(s.temp if isinstance(s, BuildingState) else s) for s in self.init_states
+        ])
         object.__setattr__(self, "reference", tuple(float(r) for r in self.reference))
         if len(self.models) < 1:
             raise ValueError("need at least one building")
@@ -171,10 +184,10 @@ def predict_trajectories(
     models = problem.models
     if schedule.n_buildings < len(models):
         raise IndexError(f"schedule has {schedule.n_buildings} rows for {len(models)} buildings")
-    u_cols = schedule.u.T.tolist()
+    u_cols = schedule.u.T.astype(float).tolist()
     t_out = problem.disturbance_forecast.t_out
     q_solar = problem.disturbance_forecast.q_solar
-    x = [s.temp for s in problem.init_states]
+    x = problem.init_temps
     cols = []
     # the fleet one step at a time; indexing the steps, not zip, so too few
     # columns or forecast steps raise IndexError
@@ -201,8 +214,8 @@ def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> flo
     e_sums = np.add.accumulate(e * e, axis=0)[-1].tolist()
     j_total = 0.0
     for k in range(n_p):
-        z = aggregate_power(schedule, k, p_rates)
-        track = config.weight_q * (z - problem.reference[k]) ** 2
+        d = aggregate_power(schedule, k, p_rates) - problem.reference[k]
+        track = config.weight_q * (d * d)
         j_total += track + config.weight_r * e_sums[k]
     return j_total
 
@@ -266,7 +279,7 @@ def _level_tables(
     dist = problem.disturbance_forecast
     levels = prefix_temps(
         fleet_coefficients(problem.models),
-        np.array([s.temp for s in problem.init_states]),
+        np.array(problem.init_temps),
         dist.t_out[:n_p],
         dist.q_solar[:n_p],
     )
@@ -357,13 +370,14 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     tree, level, tables = _level_tables(problem, config, n_p)
 
     # per joint column the draw z, summed in building order as
-    # aggregate_power sums it; [k][c] the tracking term of column c at step
-    # k, with Python's float ** as cost() takes it (numpy's ** 2 squares,
-    # which rounds differently from libm's pow); and the cheapest tracking
-    # still to come after step k
+    # aggregate_power sums it; [k, c] the tracking term of column c at step
+    # k, squared as cost() squares it; and the cheapest tracking still to
+    # come after step k
     p_rates = np.array([m.p_rate for m in problem.models])
-    z_cols = np.add.accumulate(bits * p_rates[:, None], axis=0)[-1].tolist()
-    track = np.array([[q_w * (z - ref) ** 2 for z in z_cols] for ref in problem.reference[:n_p]])
+    z = np.add.accumulate(bits * p_rates[:, None], axis=0)[-1]
+    d = z - np.array(problem.reference[:n_p])[:, None]
+    track = q_w * (d * d)
+    z_cols = z.tolist()
     track_min = track.min(axis=1).tolist()
     track_to_go = [0.0] * n_p
     for k in range(n_p - 2, -1, -1):
@@ -378,11 +392,12 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
             return viol > best["viol"]
         return cst > best["cost"]
 
-    def bound_worse_than_best(viol_bound: float, cost_bound: float, viol: float) -> bool:
+    def viol_bound_worse_than_best(viol_bound: float) -> bool:
+        return best["viol"] is not None and viol_bound > best["viol"] * (1.0 + _BOUND_MARGIN)
+
+    def cost_bound_worse_than_best(cost_bound: float, viol: float) -> bool:
         if best["viol"] is None:
             return False
-        if viol_bound > best["viol"] * (1.0 + _BOUND_MARGIN):
-            return True
         return viol >= best["viol"] and cost_bound > best["cost"] * (1.0 + _BOUND_MARGIN)
 
     def recurse(k: int, prefix: np.ndarray, part_cost: float, part_viol: float, cols: list[int]):
@@ -412,13 +427,17 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
         new_costs, new_viols = new_costs.tolist(), new_viols.tolist()
         cost_bounds, viol_bounds = cost_bounds.tolist(), viol_bounds.tolist()
         for c in order:
+            # the children come in violation-bound order and the incumbent's
+            # violation only falls, so every later child fails this prune too
+            if viol_bound_worse_than_best(viol_bounds[c]):
+                break
             new_cost, new_viol = new_costs[c], new_viols[c]
             # both accumulators are monotone, so a partial already worse than
             # the incumbent cannot recover; equal partials must continue for
             # the lexicographic tie-break
             if worse_than_best(new_viol, new_cost):
                 continue
-            if bound_worse_than_best(viol_bounds[c], cost_bounds[c], new_viol):
+            if cost_bound_worse_than_best(cost_bounds[c], new_viol):
                 continue
             cols.append(c)
             recurse(k + 1, children[:, c], new_cost, new_viol, cols)
@@ -466,8 +485,8 @@ def classify_step(
     infeasible = False
     for j, m in enumerate(models):
         x = temps[j]
-        temp_off = predict_temp(m, x, 0, t_out, q_sol)
-        temp_on = predict_temp(m, x, 1, t_out, q_sol)
+        temp_off = predict_temp(m, x, 0.0, t_out, q_sol)
+        temp_on = predict_temp(m, x, 1.0, t_out, q_sol)
         if temp_off > c_hi:
             if temp_on < c_lo:
                 infeasible = True
@@ -500,7 +519,7 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
     c_lo = config.comfort_min
     dist = problem.disturbance_forecast
     u = np.zeros((n_b, n_p), dtype=np.int8)
-    temps = [s.temp for s in problem.init_states]
+    temps = problem.init_temps
     any_infeasible = False
 
     for k in range(n_p):
@@ -519,11 +538,11 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
         # smallest c_lo - temp; the sort is stable and free is in index
         # order, so ties go to the lowest index
         ranked = sorted(free, key=lambda j: c_lo - temps[j])
-        col = [0] * n_b
+        col = [0.0] * n_b
         for j in must_on:
-            col[j] = 1
+            col[j] = 1.0
         for j in ranked[:target]:
-            col[j] = 1
+            col[j] = 1.0
         u[:, k] = col
         temps = [predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, temps, col)]
 
@@ -553,7 +572,6 @@ def receding_horizon_run(
     into the report so privacy divergence can be measured downstream.
     """
     models = tuple(models)
-    states = list(init_states)
     n_b = len(models)
     n_steps = len(reference)
     if len(disturbances) < n_steps:
@@ -575,12 +593,12 @@ def receding_horizon_run(
     must_on_kw, free_kw, target_clipped = [], [], []
     infeasible_steps = []
 
-    cur_temps = [s.temp for s in states]
+    cur_temps = [s.temp for s in init_states]
     for t in range(n_steps):
         horizon = min(config.horizon_np, n_steps - t)
         problem = DispatchProblem(
             models=models,
-            init_states=tuple(states),
+            init_states=cur_temps,
             disturbance_forecast=DisturbanceTrace(
                 t_out=disturbances.t_out[t : t + horizon],
                 q_solar=disturbances.q_solar[t : t + horizon],
@@ -603,14 +621,14 @@ def receding_horizon_run(
         if infeasible or result.infeasible:
             infeasible_steps.append(t)
 
-        first_col = result.schedule.u[:, 0].tolist()
+        first_col = result.schedule.u[:, 0]
+        controls = first_col.astype(float).tolist()
         cur_temps = [
-            predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, cur_temps, first_col)
+            predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, cur_temps, controls)
         ]
-        states = [BuildingState(temp=x, mode=uj) for x, uj in zip(cur_temps, first_col)]
         temps_hist[:, t] = cur_temps
-        agg.append(reduce(add, itertools.compress(p_rates, first_col), 0.0))  # as aggregate_power
-        n_on.append(sum(first_col))
+        agg.append(reduce(add, itertools.compress(p_rates, controls), 0.0))  # as aggregate_power
+        n_on.append(sum(first_col.tolist()))
 
     if noise_kw is None:
         noise_kw = tuple(0.0 for _ in range(n_steps))

@@ -47,16 +47,26 @@ class Trace:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write a header row, then each row of `rows`.
+    """Write a header row, then each row of `rows`, as they come.
 
     Integers and strings are written as they are; every other value is
     written as repr(float(v)), the shortest string that reads back exactly.
+    A row whose cells are all exactly int or float is joined directly, as
+    the comma-joined repr of its cells and a CRLF; that is the line
+    csv.writer writes for it, since such a cell never needs quoting. Any
+    other row (a str, bool or numpy scalar among its cells) goes through
+    csv.writer. `rows` may be a generator; no row is kept after it is
+    written.
     """
+    numeric = {int, float}.issuperset
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
+            if numeric(map(type, row)):
+                fh.write(",".join(map(repr, row)) + "\r\n")
+            else:
+                writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
 
 
 def save_trace(trace: Trace, path: str | Path, value_header: str) -> None:

@@ -2,10 +2,15 @@ import csv
 import hashlib
 import itertools
 import json
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from dpdispatch.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main
+from dpdispatch.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _emit_run_files, main
+from dpdispatch.metrics import RunReport
+from dpdispatch.scenario import ScenarioConfig
 
 
 def small_config(tmp_path, days=1):
@@ -154,6 +159,29 @@ class TestSimulateCommand:
         files = {name: (out / name).read_bytes() for name in entries}
         for a, b in itertools.combinations(sorted(files), 2):
             assert files[a] != files[b], f"{a} and {b} are byte-identical"
+
+    def test_temperatures_are_streamed(self, tmp_path):
+        # the run files of a 2000-building, 432-step report; holding the
+        # temperature table as Python floats alone would take n_b * n_steps
+        # float objects
+        n_b, n_steps = 2000, 432
+        zeros = (0.0,) * n_steps
+        report = RunReport(
+            step_seconds=600, pv_kw=zeros, noise_kw=zeros, reference_kw=zeros,
+            unclamped_reference_kw=zeros, aggregate_kw=zeros,
+            temps=np.random.default_rng(16).uniform(22.0, 24.0, (n_b, n_steps)),
+            n_on=(0,) * n_steps, must_on_kw=zeros, free_kw=zeros,
+            target_clipped=(False,) * n_steps, ref_clamped=(False,) * n_steps,
+        )
+        tracemalloc.start()
+        try:
+            _emit_run_files(report, ScenarioConfig(), tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_b * n_steps * sys.getsizeof(0.0)
+        with open(tmp_path / "temperatures.csv", newline="") as fh:
+            assert sum(1 for _ in fh) == n_steps + 1
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "r")])

@@ -159,10 +159,8 @@ def wide_instances(make, seed, count):
     return instances
 
 
-def assert_result_from_its_schedule(problem, config):
-    """solve_exact's result equals, field by field, the one built from its schedule."""
-    got = solve_exact(problem, config)
-    want = _result_from_schedule(problem, got.schedule.u, config, got.infeasible)
+def assert_same_result(got, want):
+    """Two DispatchResults equal field by field, arrays to the bit."""
     assert got.schedule.u.dtype == want.schedule.u.dtype
     assert got.schedule.u.tolist() == want.schedule.u.tolist()
     assert got.aggregate_kw == want.aggregate_kw
@@ -171,6 +169,30 @@ def assert_result_from_its_schedule(problem, config):
     assert got.per_building_error.tobytes() == want.per_building_error.tobytes()
     assert got.violations == want.violations
     assert got.infeasible == want.infeasible
+
+
+def assert_result_from_its_schedule(problem, config):
+    """solve_exact's result equals, field by field, the one built from its schedule."""
+    got = solve_exact(problem, config)
+    assert_same_result(got, _result_from_schedule(problem, got.schedule.u, config, got.infeasible))
+
+
+class TestDispatchProblem:
+    @pytest.mark.parametrize("make, seed", [(random_instance, 20261602), (tied_instance, 20261603)])
+    def test_states_or_temperatures_give_the_same_results(self, make, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            problem, config = make(rng, max_buildings=6)
+            temps = [s.temp for s in problem.init_states]
+            from_temps = DispatchProblem(
+                models=problem.models,
+                init_states=temps,
+                disturbance_forecast=problem.disturbance_forecast,
+                reference=problem.reference,
+            )
+            assert problem.init_temps == from_temps.init_temps == temps
+            for solver in (solve_priority_heuristic, solve_exact):
+                assert_same_result(solver(from_temps, config), solver(problem, config))
 
 
 class TestSchedule:
@@ -347,10 +369,10 @@ class TestSolveExact:
         assert n_zero > 0
 
     def test_tracking_term_squares_as_cost_does(self):
-        # cost() squares z - ref with Python's float **, which goes through
-        # libm's pow and differs from x * x (numpy's ** 2) in the last bit
-        # for about one difference in a thousand; take such a difference
-        # where this platform's pow shows it
+        # cost() squares z - ref as d * d; Python's float ** goes through
+        # libm's pow, which differs from d * d in the last bit for about one
+        # difference in a thousand; take such a difference where this
+        # platform's pow shows it, so the solver's rule is told apart
         rng = np.random.default_rng(14)
         for ref in rng.uniform(4.0, 5.0, 100_000).tolist():
             d = 5.0 - ref
@@ -360,7 +382,7 @@ class TestSolveExact:
         config = MPCConfig(horizon_np=1, weight_q=1.0, weight_r=0.0)
         result = solve_exact(problem, config)
         assert result.schedule.u.tolist() == [[1]]
-        assert result.cost == d ** 2
+        assert result.cost == d * d
         assert result.cost == cost(problem, result.schedule, config)
 
     @pytest.mark.parametrize("n_b, n_p, entries", [(1, 20, 2**21 - 2), (17, 1, 17 * 2**17)],

@@ -105,6 +105,27 @@ class TestStep:
         off = step(m, BuildingState(temp=temp), 0, (t_out, 0.0))
         assert on.temp < off.temp
 
+    def test_float_controls_give_the_int_controls_bits(self):
+        # the solvers pass 0.0 / 1.0; b_d * 0.0 must be b_d * 0 (-0.0 when
+        # b_d < 0), so every result, its sign bit included, is unchanged
+        rng = np.random.default_rng(20261601)
+        cases = [(make_model(a_d=1.0, b_d=b_d, g_t=0.0, g_s=0.0), x, -0.0, -0.0)
+                 for b_d in (-1.0, 1.0) for x in (-0.0, 0.0)]
+        for _ in range(500):
+            model = make_model(a_d=float(rng.uniform(0.5, 1.0)),
+                               b_d=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)),
+                               g_t=float(rng.uniform(0.0, 0.3)), g_s=float(rng.uniform(0.0, 0.1)))
+            cases.append((model, float(rng.uniform(15.0, 35.0)),
+                          float(rng.uniform(-10.0, 45.0)), float(rng.uniform(0.0, 1.0))))
+        assert {np.sign(m.b_d) for m, *_ in cases} == {-1.0, 1.0}
+        for model, x, t_out, q_solar in cases:
+            for u in (0, 1):
+                as_int = predict_temp(model, x, u, t_out, q_solar)
+                as_float = predict_temp(model, x, float(u), t_out, q_solar)
+                assert np.float64(as_float).tobytes() == np.float64(as_int).tobytes()
+        signs = {math.copysign(1.0, predict_temp(m, x, 0.0, t, q)) for m, x, t, q in cases[:4]}
+        assert signs == {-1.0, 1.0}
+
     def test_linearity_in_state(self):
         m = make_model(g_t=0.0)
         x1, x2, alpha, beta = 20.0, 26.0, 0.3, 0.7
