@@ -335,7 +335,8 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     pruned subtree holds a leaf that ties with or beats the incumbent, and
     the result does not depend on the visiting order. Children are visited
     in order of (violation + bound, cost + bound, column index), so the
-    first dive finds a strong incumbent.
+    first dive finds a strong incumbent, and the first child over the
+    violation bound ends the node: every later child is over it too.
 
     The result is built from the searched tables: each building's
     temperatures along its chosen prefixes, each step's draw from the joint
