@@ -11,10 +11,8 @@ from dpdispatch.privacy import (
     compute_net_pv,
     density_ratio_bound_check,
     generate_noise_trace,
-    laplace_pdf,
     laplace_scale,
     mechanism_expected_squared_error,
-    sample_laplace,
 )
 from dpdispatch.thermal import (
     BuildingState,
@@ -22,7 +20,6 @@ from dpdispatch.thermal import (
     DiscreteThermalModel,
     DisturbanceTrace,
     discretize,
-    simulate_ensemble,
     steady_state_temp,
     step,
 )

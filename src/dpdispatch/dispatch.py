@@ -20,16 +20,17 @@ bit-identical across builds and Python versions and a solver's reported cost
 equals a recomputation via cost() to the bit. Builtin sum() is avoided: from
 Python 3.12 it compensates float sums and rounds differently. The fleet sums
 of p_rate (must-ON and free draw, capacity, mean free rating) go through
-_left_sum, which starts at int 0 so an empty set sums to int 0, as sum() did;
-a column's draw is the left fold from 0.0 over the ratings of its ON units;
-cost()'s per-step comfort sums are np.add.accumulate down the building axis,
-which adds in building order. solve_exact takes every per-column sum (the
-draw, and at each node the e*e, overshoot and their cost-to-go) the same
-way, over the joint columns in itertools.product order, building 0 the most
-significant bit. Accumulate starts at the first building's term where the
-fold starts at 0.0; that changes no bit because no term is -0.0. The
-tracking residual d is squared as d * d everywhere, never with **, which
-CPython hands to the C library's pow.
+_left_sum, which starts at int 0 so an empty set sums to int 0, as sum() did.
+Every column's draw z(k) = sum_j u_j(k) * p_rate_j comes from one fold,
+_column_draws, which accumulates down the building axis in building order:
+cost(), _result_from_schedule, aggregate_power and solve_exact (over the
+joint columns in itertools.product order, building 0 the most significant
+bit) call it, and the closed loop reads the applied column's draw from the
+solver's result. cost()'s comfort sums and each exact node's table sums
+accumulate the same way. Accumulate starts at the first building's term
+where a fold starts at 0.0; that changes no bit because no term is -0.0.
+The tracking residual d is squared as d * d everywhere, never with **,
+which CPython hands to the C library's pow.
 
 Every control passed to predict_temp is the float 0.0 or 1.0: b_d * 1.0 and
 b_d * 0.0 are the doubles b_d * 1 and b_d * 0 (-0.0 included), and the
@@ -41,7 +42,6 @@ BuildingState objects or plain temperatures; the solvers read init_temps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -166,15 +166,30 @@ def _left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0)
 
 
+def _column_draws(u: np.ndarray, p_rates: Sequence[float]) -> np.ndarray:
+    """Every column's draw sum_j u[j, c] * p_rates[j], one float per column.
+
+    The products are added down the buildings in building order. With u in
+    {0, 1} and every rating positive, an OFF unit adds +0.0, so each draw
+    equals the left fold from 0.0 over its ON units' ratings to the bit,
+    where np.dot, np.sum and sum() (compensated from Python 3.12) may round
+    differently. Raises ValueError unless there is one rating per row.
+    """
+    p = np.asarray(p_rates, dtype=float)
+    if p.shape != (len(u),):
+        raise ValueError(f"{p.size} ratings for a schedule of {len(u)} rows")
+    return np.add.accumulate(u * p[:, None], axis=0)[-1]
+
+
 def aggregate_power(schedule: Schedule, k: int, p_rates: Sequence[float]) -> float:
-    """Fleet draw z(k) = sum_j u_j(k) * p_rate_j; p_rate = 1 gives the bare count."""
+    """Fleet draw z(k) = sum_j u_j(k) * p_rate_j as a float, from _column_draws.
+
+    p_rate = 1 gives the bare count. Raises IndexError for a step outside
+    the schedule and ValueError unless p_rates has one rating per building.
+    """
     if not (0 <= k < schedule.n_steps):
         raise IndexError(f"step {k} outside schedule with {schedule.n_steps} columns")
-    # A left fold from 0.0 over the ON units' ratings, in building order:
-    # with u in {0, 1} it equals the loop z += u_j * p_rate_j to the bit,
-    # where np.dot, np.sum and sum() (compensated from Python 3.12) may round
-    # differently; the outputs must stay bit-identical for any p_rate.
-    return reduce(add, itertools.compress(p_rates, schedule.u[:, k].tolist()), 0.0)
+    return _column_draws(schedule.u[:, k : k + 1], p_rates).item()
 
 
 def predict_trajectories(
@@ -207,14 +222,14 @@ def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> flo
     n_p = _effective_horizon(problem, config)
     if schedule.n_buildings != problem.n_buildings or schedule.n_steps < n_p:
         raise ValueError("schedule dimensions inconsistent with problem")
-    p_rates = [m.p_rate for m in problem.models]
+    z = _column_draws(schedule.u[:, :n_p], [m.p_rate for m in problem.models]).tolist()
     e = predict_trajectories(problem, schedule, n_p) - config.setpoint_xr
     # per step, sum_i e_i^2 added in building order; accumulate is sequential,
     # and its start at e_0^2 instead of 0.0 + e_0^2 changes no bit
     e_sums = np.add.accumulate(e * e, axis=0)[-1].tolist()
     j_total = 0.0
     for k in range(n_p):
-        d = aggregate_power(schedule, k, p_rates) - problem.reference[k]
+        d = z[k] - problem.reference[k]
         track = config.weight_q * (d * d)
         j_total += track + config.weight_r * e_sums[k]
     return j_total
@@ -233,12 +248,10 @@ def _result_from_schedule(
     problem: DispatchProblem, u: np.ndarray, config: MPCConfig, infeasible: bool = False
 ) -> DispatchResult:
     schedule = Schedule(u=u)
-    n_p = schedule.n_steps
-    p_rates = [m.p_rate for m in problem.models]
-    temps = predict_trajectories(problem, schedule, n_p)
+    temps = predict_trajectories(problem, schedule, schedule.n_steps)
     return DispatchResult(
         schedule=schedule,
-        aggregate_kw=tuple(aggregate_power(schedule, k, p_rates) for k in range(n_p)),
+        aggregate_kw=tuple(_column_draws(schedule.u, [m.p_rate for m in problem.models]).tolist()),
         cost=cost(problem, schedule, config),
         per_building_error=temps - config.setpoint_xr,
         violations=_violations_from_temps(temps, config),
@@ -370,12 +383,10 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     bits = (np.arange(2**n_b) >> np.arange(n_b - 1, -1, -1)[:, None]) & 1
     tree, level, tables = _level_tables(problem, config, n_p)
 
-    # per joint column the draw z, summed in building order as
-    # aggregate_power sums it; [k, c] the tracking term of column c at step
-    # k, squared as cost() squares it; and the cheapest tracking still to
-    # come after step k
-    p_rates = np.array([m.p_rate for m in problem.models])
-    z = np.add.accumulate(bits * p_rates[:, None], axis=0)[-1]
+    # per joint column the draw z; [k, c] the tracking term of column c at
+    # step k, squared as cost() squares it; and the cheapest tracking still
+    # to come after step k
+    z = _column_draws(bits, [m.p_rate for m in problem.models])
     d = z - np.array(problem.reference[:n_p])[:, None]
     track = q_w * (d * d)
     z_cols = z.tolist()
@@ -628,7 +639,7 @@ def receding_horizon_run(
             predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, cur_temps, controls)
         ]
         temps_hist[:, t] = cur_temps
-        agg.append(reduce(add, itertools.compress(p_rates, controls), 0.0))  # as aggregate_power
+        agg.append(result.aggregate_kw[0])  # the applied column's draw
         n_on.append(sum(first_col.tolist()))
 
     if noise_kw is None:

@@ -52,13 +52,6 @@ def laplace_scale(params: DPParams) -> float:
     return params.sensitivity / params.epsilon
 
 
-def laplace_pdf(x: float, scale: float) -> float:
-    """Density (1 / 2*scale) * exp(-|x| / scale) of the zero-mean Laplace."""
-    if not (scale > 0):
-        raise ValueError("scale must be positive")
-    return math.exp(-abs(x) / scale) / (2.0 * scale)
-
-
 def _inverse_cdf(p, scale):
     # x = -scale * sgn(p - 1/2) * ln(1 - 2|p - 1/2|); log1p keeps precision
     # near the median. p = 0 exactly would hit ln(0); PCG64's random() never
@@ -66,13 +59,6 @@ def _inverse_cdf(p, scale):
     q = np.asarray(p, dtype=np.float64) - 0.5
     inner = np.maximum(1.0 - 2.0 * np.abs(q), np.finfo(np.float64).tiny)
     return -scale * np.sign(q) * np.log(inner)
-
-
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One zero-mean Laplace(scale) draw via the inverse-CDF transform."""
-    if not (scale > 0):
-        raise ValueError("scale must be positive")
-    return float(_inverse_cdf(rng.random(), scale))
 
 
 def generate_noise_trace(params: DPParams, length: int, step_seconds: int = 600) -> Trace:

@@ -173,36 +173,3 @@ def prefix_temps(
         levels.append(x)
     return levels
 
-
-def simulate_ensemble(
-    models: Sequence[DiscreteThermalModel],
-    states: Sequence[BuildingState],
-    schedule: np.ndarray,
-    disturbances: DisturbanceTrace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run every building through a full on/off schedule.
-
-    schedule is an (n_buildings, n_steps) binary matrix. Returns the
-    (n_buildings, n_steps) matrix of post-step temperatures and the per-step
-    aggregate electric draw sum_j u_j(k) * p_rate_j.
-    """
-    schedule = np.asarray(schedule)
-    n_b, n_k = schedule.shape
-    if len(models) != n_b or len(states) != n_b:
-        raise ValueError("models/states count does not match schedule rows")
-    if len(disturbances) < n_k:
-        raise ValueError("disturbance trace shorter than schedule")
-    if not ((schedule == 0) | (schedule == 1)).all():
-        raise ValueError("schedule entries must be binary")
-
-    coef = fleet_coefficients(models)
-    p_rate = np.array([m.p_rate for m in models])
-    u = schedule.astype(float)
-
-    temps = np.empty((n_b, n_k))
-    x = np.array([s.temp for s in states], dtype=float)
-    for k in range(n_k):
-        x = _step_fleet(coef, x, u[:, k], disturbances.t_out[k], disturbances.q_solar[k])
-        temps[:, k] = x
-    aggregate_kw = p_rate @ u
-    return temps, aggregate_kw

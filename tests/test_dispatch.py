@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpdispatch.dispatch import (
     EXACT_TABLE_GUARD,
@@ -9,6 +11,7 @@ from dpdispatch.dispatch import (
     MPCConfig,
     Schedule,
     SolverGuardError,
+    _column_draws,
     _left_sum,
     _level_tables,
     aggregate_power,
@@ -76,7 +79,9 @@ def oracle_best(problem, config):
                 elif temps[j] < config.comfort_min - COMFORT_TOL:
                     viol += config.comfort_min - temps[j]
                 z += u[j][k] * p_rates[j]
-            total += config.weight_q * (z - problem.reference[k]) ** 2 + config.weight_r * e_sum
+            # squared as d * d, as cost() does: ** goes through libm's pow
+            d = z - problem.reference[k]
+            total += config.weight_q * (d * d) + config.weight_r * e_sum
         cand = (viol, total, bits)
         if best is None or (cand[0], cand[1]) < (best[0], best[1]):
             best = cand
@@ -384,6 +389,16 @@ class TestSolveExact:
         assert result.schedule.u.tolist() == [[1]]
         assert result.cost == d * d
         assert result.cost == cost(problem, result.schedule, config)
+
+    def test_oracle_squares_as_the_solver_does(self):
+        # the instance above at its reference from seed 14, where glibc's
+        # pow gives (5 - ref) ** 2 one ulp above (5 - ref) * (5 - ref)
+        problem = make_problem([make_model(p_rate=5.0)], [23.0], [4.278575501052201])
+        config = MPCConfig(horizon_np=1, weight_q=1.0, weight_r=0.0)
+        _, oracle_cost, oracle_u = oracle_best(problem, config)
+        result = solve_exact(problem, config)
+        assert oracle_u.tolist() == result.schedule.u.tolist() == [[1]]
+        assert oracle_cost == result.cost
 
     @pytest.mark.parametrize("n_b, n_p, entries", [(1, 20, 2**21 - 2), (17, 1, 17 * 2**17)],
                              ids=["tree-1x20", "node-17x1"])
@@ -722,6 +737,42 @@ class TestRulesParity:
                 z += on * ratings[j]
             assert aggregate_power(Schedule(u=u), 1, ratings) == z
             assert type(aggregate_power(Schedule(u=u), 1, ratings)) is float
+
+
+# 0/1 schedules of 1-40 buildings and 1-8 columns, and ratings that are
+# either few and repeated or arbitrary
+_SCHEDULES = st.tuples(st.integers(1, 40), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.int8, shape, elements=st.integers(0, 1)))
+_RATING = st.one_of(st.sampled_from([4.3, 5.1, 3.7]), st.floats(min_value=1.0, max_value=6.0))
+
+
+class TestColumnDraws:
+    @given(st.data())
+    def test_equals_left_fold_over_on_ratings(self, data):
+        u = data.draw(_SCHEDULES)
+        p_rates = data.draw(st.lists(_RATING, min_size=len(u), max_size=len(u)))
+        draws = _column_draws(u, p_rates).tolist()
+        assert len(draws) == u.shape[1]
+        for c, z in enumerate(draws):
+            fold = 0.0
+            for on, rating in zip(u[:, c].tolist(), p_rates):
+                if on:
+                    fold = fold + rating
+            assert type(z) is float
+            assert z.hex() == fold.hex()  # bit for bit, sign of zero included
+
+    @given(st.lists(_RATING, min_size=1, max_size=40))
+    def test_all_off_column_draws_zero(self, p_rates):
+        u = np.zeros((len(p_rates), 3), dtype=np.int8)
+        assert [z.hex() for z in _column_draws(u, p_rates).tolist()] == [(0.0).hex()] * 3
+
+    @given(_SCHEDULES, st.sampled_from([-1, 1]))
+    def test_rating_count_must_match_rows(self, u, delta):
+        p_rates = [4.3] * (len(u) + delta)
+        with pytest.raises(ValueError, match="ratings"):
+            _column_draws(u, p_rates)
+        with pytest.raises(ValueError, match="ratings"):
+            aggregate_power(Schedule(u=u), 0, p_rates)
 
 
 class TestLeftSum:

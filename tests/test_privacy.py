@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 
 from dpdispatch.privacy import (
     DPParams,
+    _inverse_cdf,
     compute_net_pv,
     density_ratio_bound_check,
     generate_noise_trace,
-    laplace_pdf,
     laplace_scale,
     mechanism_expected_squared_error,
-    sample_laplace,
 )
 from dpdispatch.traces import Trace, save_trace
 
@@ -46,59 +45,16 @@ class TestLaplaceScale:
         assert laplace_scale(DPParams(epsilon=0.5, sensitivity=2.0)) == 4.0
 
 
-class TestLaplacePdf:
-    def test_peak_values(self):
-        assert laplace_pdf(0.0, 1.0) == 0.5
-        assert laplace_pdf(0.0, 10.0) == 0.05
+class TestInverseCdf:
+    """The inverse-CDF transform generate_noise_trace draws through."""
 
-    def test_one_scale_out(self):
-        # 0.05 * e^-1, direct evaluation of the density
-        assert laplace_pdf(10.0, 10.0) == pytest.approx(0.05 * math.exp(-1.0), rel=1e-12)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            laplace_pdf(1.0, 0.0)
-
-    @given(st.floats(min_value=-100, max_value=100), st.floats(min_value=0.1, max_value=50))
-    def test_symmetry(self, x, scale):
-        assert laplace_pdf(x, scale) == laplace_pdf(-x, scale)
-
-    def test_integrates_to_one(self):
-        # trapezoid quadrature over +-40 scales captures all but ~e^-40 mass
-        scale = 3.0
-        xs = np.linspace(-40 * scale, 40 * scale, 400001)
-        ys = [laplace_pdf(x, scale) for x in xs]
-        assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-6)
-
-
-class _FixedUniform:
-    """Minimal rng stub returning preset uniforms."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self, size=None):
-        assert size is None
-        return self._values.pop(0)
-
-
-class TestSampleLaplace:
     def test_median_maps_to_zero(self):
-        assert sample_laplace(10.0, _FixedUniform([0.5])) == 0.0
+        assert _inverse_cdf(0.5, 10.0) == 0.0
 
     def test_analytic_inverse(self):
         # CDF at +scale is (1 + 1 - e^-1)/2, so that uniform must map back to 10
         p = 0.5 * (1.0 + 1.0 - math.exp(-1.0))
-        assert sample_laplace(10.0, _FixedUniform([p])) == pytest.approx(10.0, rel=1e-12)
-
-    def test_variance_of_many_draws(self):
-        rng = np.random.Generator(np.random.PCG64(123))
-        draws = np.array([sample_laplace(10.0, rng) for _ in range(200_000)])
-        assert abs(draws.var(ddof=1) - 200.0) <= 0.05 * 200.0
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            sample_laplace(0.0, _FixedUniform([0.5]))
+        assert _inverse_cdf(p, 10.0) == pytest.approx(10.0, rel=1e-12)
 
 
 class TestGenerateNoiseTrace:

@@ -8,12 +8,10 @@ from dpdispatch.thermal import (
     BuildingState,
     ContinuousThermalModel,
     DiscreteThermalModel,
-    DisturbanceTrace,
     discretize,
     fleet_coefficients,
     predict_temp,
     prefix_temps,
-    simulate_ensemble,
     steady_state_temp,
     step,
 )
@@ -166,41 +164,6 @@ class TestSteadyState:
             err_prev = err
 
 
-class TestSimulateEnsemble:
-    def test_single_building_single_step(self):
-        m = make_model()
-        temps, agg = simulate_ensemble(
-            [m], [BuildingState(temp=23.0)], np.array([[1]]),
-            DisturbanceTrace(t_out=(30.0,), q_solar=(0.0,)),
-        )
-        assert temps[0, 0] == step(m, BuildingState(temp=23.0), 1, (30.0, 0.0)).temp
-        assert agg[0] == 5.0
-
-    def test_all_off_zero_aggregate(self):
-        m = make_model()
-        _, agg = simulate_ensemble(
-            [m, m], [BuildingState(temp=23.0)] * 2, np.zeros((2, 4), dtype=int),
-            DisturbanceTrace(t_out=(30.0,) * 4, q_solar=(0.0,) * 4),
-        )
-        assert (agg == 0).all()
-
-    def test_identical_buildings_symmetry(self):
-        m = make_model()
-        sched = np.array([[1, 0, 1], [1, 0, 1]])
-        temps, _ = simulate_ensemble(
-            [m, m], [BuildingState(temp=23.0)] * 2, sched,
-            DisturbanceTrace(t_out=(30.0,) * 3, q_solar=(0.1,) * 3),
-        )
-        assert (temps[0] == temps[1]).all()
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_ensemble(
-                [make_model()], [BuildingState(temp=23.0)] * 2, np.zeros((2, 2), dtype=int),
-                DisturbanceTrace(t_out=(30.0,) * 2, q_solar=(0.0,) * 2),
-            )
-
-
 def same_bits(a, b) -> bool:
     """Equal values with equal signs, so 0.0 and -0.0 differ."""
     a, b = np.asarray(a), np.asarray(b)
@@ -259,21 +222,3 @@ class TestPrefixTemps:
         models = [make_model(a_d=1.0, b_d=-1.0, g_t=0.0, g_s=0.0), make_model(a_d=0.5, b_d=0.25)]
         levels = self.check_every_prefix(models, [-0.0, 0.0], [-1.0, -2.0, -0.5], [-1.0, -0.5, -2.0])
         assert np.signbit(levels[-1][0, 0]) and levels[-1][0, 0] == 0.0
-
-    def test_simulate_ensemble_is_a_path_through_the_tree(self):
-        rng = np.random.default_rng(7)
-        for horizon in range(1, 7):
-            models, starts = self.random_fleet(rng, 4)
-            t_out = tuple(float(v) for v in rng.uniform(15.0, 40.0, horizon))
-            q_solar = tuple(float(v) for v in rng.uniform(0.0, 1.0, horizon))
-            schedule = rng.integers(0, 2, size=(4, horizon))
-            temps, agg = simulate_ensemble(
-                models, [BuildingState(temp=x) for x in starts], schedule,
-                DisturbanceTrace(t_out=t_out, q_solar=q_solar),
-            )
-            levels = prefix_temps(fleet_coefficients(models), np.array(starts), t_out, q_solar)
-            prefix = np.zeros(4, dtype=int)
-            for k in range(horizon):
-                prefix = 2 * prefix + schedule[:, k]
-                assert same_bits(temps[:, k], levels[k][np.arange(4), prefix])
-            assert same_bits(agg, np.array([m.p_rate for m in models]) @ schedule.astype(float))
