@@ -42,6 +42,7 @@ BuildingState objects or plain temperatures; the solvers read init_temps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -235,12 +236,21 @@ def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> flo
     return j_total
 
 
+def _overshoot(temps: np.ndarray, config: MPCConfig) -> np.ndarray:
+    """Per entry, degC outside the comfort band, or 0.0 within COMFORT_TOL of it.
+
+    An entry more than COMFORT_TOL outside is overshoot by more than
+    COMFORT_TOL, so the nonzero entries are exactly the violations.
+    """
+    c_lo, c_hi = config.comfort_min, config.comfort_max
+    return np.where(temps > c_hi + COMFORT_TOL, temps - c_hi,
+                    np.where(temps < c_lo - COMFORT_TOL, c_lo - temps, 0.0))
+
+
 def _violations_from_temps(temps: np.ndarray, config: MPCConfig):
     """(building, step, overshoot) in row-major order, as np.nonzero walks."""
-    over = temps > config.comfort_max + COMFORT_TOL
-    under = temps < config.comfort_min - COMFORT_TOL
-    js, ks = np.nonzero(over | under)
-    overshoot = np.where(over, temps - config.comfort_max, config.comfort_min - temps)
+    overshoot = _overshoot(temps, config)
+    js, ks = np.nonzero(overshoot)
     return tuple(zip(js.tolist(), ks.tolist(), overshoot[js, ks].tolist()))
 
 
@@ -288,7 +298,6 @@ def _level_tables(
     add. Every table entry is +0.0 or positive, so a sum of entries may start
     at its first term instead of at 0.0.
     """
-    x_r, c_lo, c_hi = config.setpoint_xr, config.comfort_min, config.comfort_max
     dist = problem.disturbance_forecast
     levels = prefix_temps(
         fleet_coefficients(problem.models),
@@ -300,10 +309,9 @@ def _level_tables(
     tree = np.concatenate(levels, axis=None)
     level = [slice(n_b * (2 ** (k + 1) - 2), n_b * (2 ** (k + 2) - 2)) for k in range(n_p)]
     stack = np.zeros((4, tree.size))
-    e = tree - x_r
+    e = tree - config.setpoint_xr
     np.multiply(e, e, out=stack[0])
-    stack[1] = np.where(tree > c_hi + COMFORT_TOL, tree - c_hi,
-                        np.where(tree < c_lo - COMFORT_TOL, c_lo - tree, 0.0))
+    stack[1] = _overshoot(tree, config)
     # per prefix, the cheapest e*e and overshoot its completions still add:
     # backward over the levels, the smaller of each pair of siblings
     terms, to_go = stack[:2], stack[2:]
@@ -395,33 +403,17 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     for k in range(n_p - 2, -1, -1):
         track_to_go[k] = track_to_go[k + 1] + track_min[k + 1]
 
-    best: dict = {"viol": None, "cost": None, "key": None, "cols": None}
-
-    def worse_than_best(viol: float, cst: float) -> bool:
-        if best["viol"] is None:
-            return False
-        if viol != best["viol"]:
-            return viol > best["viol"]
-        return cst > best["cost"]
-
-    def viol_bound_worse_than_best(viol_bound: float) -> bool:
-        return best["viol"] is not None and viol_bound > best["viol"] * (1.0 + _BOUND_MARGIN)
-
-    def cost_bound_worse_than_best(cost_bound: float, viol: float) -> bool:
-        if best["viol"] is None:
-            return False
-        return viol >= best["viol"] and cost_bound > best["cost"] * (1.0 + _BOUND_MARGIN)
+    # the incumbent: violation, cost, row-major key and joint columns,
+    # compared in that order; the inf start loses to every leaf and trips no
+    # prune
+    best = [math.inf, math.inf, (), None]
+    slack = 1.0 + _BOUND_MARGIN
 
     def recurse(k: int, prefix: np.ndarray, part_cost: float, part_viol: float, cols: list[int]):
         if k == n_p:
             key = tuple(bits[:, cols].ravel().tolist())  # the schedule, row-major
-            if (
-                best["viol"] is None
-                or part_viol < best["viol"]
-                or (part_viol == best["viol"] and part_cost < best["cost"])
-                or (part_viol == best["viol"] and part_cost == best["cost"] and key < best["key"])
-            ):
-                best.update(viol=part_viol, cost=part_cost, key=key, cols=list(cols))
+            if (part_viol, part_cost, key) < tuple(best[:3]):
+                best[:] = [part_viol, part_cost, key, list(cols)]
             return
 
         # children[j, c]: building j's child prefix in joint column c; per
@@ -441,15 +433,15 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
         for c in order:
             # the children come in violation-bound order and the incumbent's
             # violation only falls, so every later child fails this prune too
-            if viol_bound_worse_than_best(viol_bounds[c]):
+            if viol_bounds[c] > best[0] * slack:
                 break
             new_cost, new_viol = new_costs[c], new_viols[c]
             # both accumulators are monotone, so a partial already worse than
             # the incumbent cannot recover; equal partials must continue for
             # the lexicographic tie-break
-            if worse_than_best(new_viol, new_cost):
+            if (new_viol, new_cost) > (best[0], best[1]):
                 continue
-            if cost_bound_worse_than_best(cost_bounds[c], new_viol):
+            if new_viol >= best[0] and cost_bounds[c] > best[1] * slack:
                 continue
             cols.append(c)
             recurse(k + 1, children[:, c], new_cost, new_viol, cols)
@@ -460,7 +452,8 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     # the result from the searched tables: each building's temperatures
     # along its chosen prefixes, each step's draw from the column sums, and
     # the incumbent's cost, summed in cost()'s order
-    schedule = Schedule(u=bits[:, best["cols"]])
+    best_viol, best_cost, _, best_cols = best
+    schedule = Schedule(u=bits[:, best_cols])
     flat = []  # tree index of each building's prefix at each step
     for j, row in enumerate(schedule.u.tolist()):
         q = j
@@ -470,11 +463,11 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     temps = tree[flat].reshape(n_b, n_p)
     return DispatchResult(
         schedule=schedule,
-        aggregate_kw=tuple(z_cols[c] for c in best["cols"]),
-        cost=best["cost"],
+        aggregate_kw=tuple(z_cols[c] for c in best_cols),
+        cost=best_cost,
         per_building_error=temps - config.setpoint_xr,
         violations=_violations_from_temps(temps, config),
-        infeasible=best["viol"] > 0,
+        infeasible=best_viol > 0,
     )
 
 
