@@ -250,7 +250,7 @@ def build_simulation(
     init_rng = np.random.Generator(np.random.PCG64(_sub_seed(config.seed, _STREAM_INIT)))
     lo, hi = config.mpc.comfort_min, config.mpc.comfort_max
     init_states = [
-        BuildingState(temp=lo + (hi - lo) * init_rng.random(), mode=0)
+        BuildingState(temp=lo + (hi - lo) * init_rng.random())
         for _ in range(config.n_buildings)
     ]
     return models, init_states, disturbances, pv

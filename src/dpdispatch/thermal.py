@@ -53,11 +53,6 @@ class DiscreteThermalModel:
 @dataclass(frozen=True)
 class BuildingState:
     temp: float  # degC
-    mode: int = 0  # 0 = OFF, 1 = ON
-
-    def __post_init__(self):
-        if self.mode not in (0, 1):
-            raise ValueError("mode must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -118,11 +113,11 @@ def step(
     u: int,
     v: tuple[float, float],
 ) -> BuildingState:
-    """Advance one building one step: x' = a_d x + b_d u + G_d v; mode' = u."""
+    """Advance one building one step: x' = a_d x + b_d u + G_d v."""
     if u not in (0, 1):
         raise ValueError("u must be binary")
     t_out, q_solar = v
-    return BuildingState(temp=predict_temp(model, state.temp, u, t_out, q_solar), mode=u)
+    return BuildingState(temp=predict_temp(model, state.temp, u, t_out, q_solar))
 
 
 def steady_state_temp(model: DiscreteThermalModel, u: int, v: tuple[float, float]) -> float:

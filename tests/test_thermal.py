@@ -77,13 +77,11 @@ class TestStep:
         m = make_model(a_d=1.0, b_d=0.0, g_t=0.0)
         out = step(m, BuildingState(temp=23.0), 0, (30.0, 0.0))
         assert out.temp == 23.0
-        assert out.mode == 0
 
     def test_cooling_on(self):
         out = step(make_model(), BuildingState(temp=23.0), 1, (30.0, 0.0))
         assert out.temp == pytest.approx(0.92 * 23.0 - 0.96 + 0.08 * 30.0, rel=1e-12)
         assert out.temp == pytest.approx(22.6, abs=1e-9)
-        assert out.mode == 1
 
     def test_off_drift(self):
         out = step(make_model(), BuildingState(temp=23.0), 0, (30.0, 0.0))
