@@ -149,8 +149,9 @@ class DispatchResult:
     cost: float
     per_building_error: np.ndarray  # e_i(k) = predicted temp - setpoint
     violations: tuple[tuple[int, int, float], ...]  # (building, step, overshoot degC)
-    # greedy: some step had a building both must-ON and must-OFF; exact: the
-    # optimal schedule violates the comfort band
+    # the solver's plan: greedy, some planned step had a building with no
+    # in-band control; exact, the optimal schedule violates the comfort band.
+    # The closed loop flags steps from classify_step and does not read it.
     infeasible: bool = False
 
 
@@ -482,7 +483,10 @@ def classify_step(
     A unit is must-ON when OFF would end above comfort_max and must-OFF when
     ON would end below comfort_min. When both hold, the band is narrower
     than the one-step swing: the unit takes the control landing closer to
-    the setpoint (OFF on a tie) and the step is flagged infeasible.
+    the setpoint (OFF on a tie). The step is flagged infeasible when some
+    unit has no control that lands in the band: the swing case, a must-ON
+    unit whose ON ends above comfort_max, or a must-OFF unit whose OFF ends
+    below comfort_min.
     """
     t_out, q_sol = v
     c_lo, c_hi, x_r = config.comfort_min, config.comfort_max, config.setpoint_xr
@@ -501,8 +505,10 @@ def classify_step(
                     must_on.append(j)
             else:
                 must_on.append(j)
+                infeasible = infeasible or temp_on > c_hi
         elif temp_on < c_lo:
             must_off.append(j)
+            infeasible = infeasible or temp_off < c_lo
         else:
             free.append(j)
     return must_on, must_off, free, infeasible
@@ -623,7 +629,7 @@ def receding_horizon_run(
         must_on_kw.append(forced)
         free_kw.append(dispatchable)
         target_clipped.append(not (forced <= clamped[t] <= forced + dispatchable))
-        if infeasible or result.infeasible:
+        if infeasible:
             infeasible_steps.append(t)
 
         first_col = result.schedule.u[:, 0]

@@ -205,8 +205,8 @@ class TestPinnedDigests:
             [],
             {
                 "results.csv": "ca77227af5ebd45e0fd21d175ec10850523763f7627672e3092edae123af485c",
-                "flags.csv": "f6a92a905e916ebe1e201ef5d5b0e7c3652a960c8d06d27420dde25c367f21a3",
-                "summary.csv": "afc5b6d9057509e8e6f320dbc1109ac08fa50421ab1c330fcde811adc0649f98",
+                "flags.csv": "2dd55aed667626c7e0bc5cd1ac5c7bbbfb117ece68642610d0627df996d56891",
+                "summary.csv": "b122cedf5b961ff28aed8ba1b0528d3700c53d3fe232ee4726e42e178c15af04",
             },
         ),
         "exact_2x4": (
@@ -226,8 +226,8 @@ class TestPinnedDigests:
             ["--solver", "exact", "--horizon", "5"],
             {
                 "results.csv": "b1033a7ea7dc8e0b03f96e2bb48daa5d8e4809da6e76ecd1052c4f946a33efbf",
-                "flags.csv": "af1af659e3fbc422ed673d53826b6dbc816a3d2c94278370e3269bd1123cffe0",
-                "summary.csv": "33b06e6cca9e26872d84fb3494b8a2e0626da5c4fa0ab2a39b7202b9c698c642",
+                "flags.csv": "ac3d9565017954354eb26d02dd630fe698547a5740f4bc268364dde56be74d6f",
+                "summary.csv": "9e4345705659b4867dd43aff62843049548a900bfadc39982d9477636c7d172a",
             },
         ),
     }
@@ -241,6 +241,22 @@ class TestPinnedDigests:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)] + extra) == EXIT_OK
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
         assert got == digests
+
+
+class TestGreedyHorizon:
+    """Greedy's applied column reads only the current state and reference, so
+    its horizon changes no run file, flags included."""
+
+    @pytest.mark.parametrize("weather", ["", "  weather_mean_c: 25.0\n"], ids=["30C", "25C"])
+    def test_horizon_one_and_six_trees_agree(self, tmp_path, weather):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(TestPinnedDigests.CASES["greedy_50"][0] + weather)
+        for h in (1, 6):
+            argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / f"h{h}"),
+                    "--horizon", str(h)]
+            assert main(argv) == EXIT_OK
+        for name in ("results.csv", "flags.csv", "summary.csv", "temperatures.csv"):
+            assert (tmp_path / "h1" / name).read_bytes() == (tmp_path / "h6" / name).read_bytes()
 
 
 class TestReportCommand:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpdispatch.dispatch import (
@@ -23,6 +23,8 @@ from dpdispatch.dispatch import (
     solve_exact,
     solve_priority_heuristic,
 )
+from dpdispatch.metrics import comfort_violations_per_step
+from dpdispatch.scenario import BuildingParams, ScenarioConfig, TraceSources, build_simulation
 from dpdispatch.thermal import BuildingState, DiscreteThermalModel, DisturbanceTrace, predict_temp
 from dpdispatch.traces import Trace
 
@@ -588,12 +590,20 @@ class TestClassifyStep:
     def test_free_in_band(self):
         assert self.classify(23.0, 29.0) == ([], [], [0], False)
 
+    def test_must_on_above_band_is_flagged(self):
+        # OFF 25.42 and ON 24.46, both above 23.5: forced ON, no in-band control
+        assert self.classify(24.5, 36.0) == ([0], [], [], True)
+
+    def test_must_off_below_band_is_flagged(self):
+        # ON 20.42 and OFF 21.38, both below 22.5: forced OFF, no in-band control
+        assert self.classify(21.5, 20.0) == ([], [0], [], True)
+
 
 def rules_classify(models, temps, v, config):
     """classify_step's rules one building at a time, written out plainly.
 
-    Each building's (forced mode or None, swing flag) comes from its OFF and
-    ON predictions; the fleet split collects them in index order.
+    Each building's (forced control or None, no in-band control) comes from
+    its OFF and ON predictions; the fleet split collects them in index order.
     """
 
     def one(model, temp):
@@ -605,16 +615,16 @@ def rules_classify(models, temps, v, config):
             near_off = abs(temp_off - config.setpoint_xr) <= abs(temp_on - config.setpoint_xr)
             return (0 if near_off else 1), True
         if must_on:
-            return 1, False
+            return 1, temp_on > config.comfort_max
         if must_off:
-            return 0, False
+            return 0, temp_off < config.comfort_min
         return None, False
 
     must_on, must_off, free = [], [], []
     infeasible = False
     for j, m in enumerate(models):
-        forced, swing = one(m, temps[j])
-        infeasible = infeasible or swing
+        forced, stuck = one(m, temps[j])
+        infeasible = infeasible or stuck
         {1: must_on, 0: must_off, None: free}[forced].append(j)
     return must_on, must_off, free, infeasible
 
@@ -693,9 +703,11 @@ class TestRulesParity:
             assert split == rules_classify(models, temps, v, config)
 
     def test_band_edges_are_not_forced(self):
-        # OFF at exactly comfort_max and ON at exactly comfort_min stay free
+        # OFF at exactly comfort_max and ON at exactly comfort_min stay free;
+        # a forced control landing on an edge is in band, but the 21.5 unit
+        # lands at 21.5 OFF and 20.5 ON, below the band either way
         split = classify_step([EDGE_MODEL] * 4, [23.5, 22.5, 24.5, 21.5], (30.0, 0.0), MPCConfig())
-        assert split == ([2], [1, 3], [0], False)
+        assert split == ([2], [1, 3], [0], True)
 
     def test_equidistant_swing_takes_off(self):
         config = MPCConfig()
@@ -823,6 +835,32 @@ class TestRecedingHorizon:
         assert (report.temps >= 22.5 - COMFORT_TOL).all()
         assert (report.temps <= 23.5 + COMFORT_TOL).all()
         assert report.infeasible_steps == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_b=st.integers(2, 30),
+        jitter=st.floats(0.0, 0.2),
+        weather_mean=st.floats(20.0, 32.0),
+        pv_per_building=st.floats(1.0, 15.0),
+        horizon=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_greedy_violation_only_at_flagged_steps(
+        self, n_b, jitter, weather_mean, pv_per_building, horizon, seed
+    ):
+        # not the converse: a forced control may land outside the band by
+        # less than COMFORT_TOL, which flags the step without a violation
+        cfg = ScenarioConfig(
+            n_buildings=n_b, seed=seed, mpc=MPCConfig(horizon_np=horizon),
+            buildings=BuildingParams(jitter=jitter),
+            traces=TraceSources(days=1, weather_mean_c=weather_mean,
+                                pv_peak_kw=pv_per_building * n_b),
+        )
+        models, states, dist, pv = build_simulation(cfg)
+        report = receding_horizon_run(models, states, dist, pv, cfg.mpc, "greedy")
+        band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
+        violating = np.flatnonzero(comfort_violations_per_step(report, band)).tolist()
+        assert set(violating) <= set(report.infeasible_steps)
 
     def test_determinism(self):
         models = [make_model()] * 3
