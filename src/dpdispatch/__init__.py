@@ -29,7 +29,6 @@ from dpdispatch.dispatch import (
     MPCConfig,
     Schedule,
     SolverGuardError,
-    aggregate_power,
     cost,
     receding_horizon_run,
     solve_exact,

@@ -5,8 +5,8 @@ Subcommands:
   simulate  full pipeline: noise -> net reference -> receding-horizon dispatch
   report    regenerate summary.csv from a stored run directory
 
-Exit codes: 0 success, 1 config/IO error, 2 exact-solver guard, 3 comfort
-infeasibility under --strict.
+Exit codes: 0 success, 1 usage, config or IO error, 2 exact-solver guard,
+3 comfort infeasibility under --strict.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from dpdispatch import metrics
-from dpdispatch.dispatch import SolverGuardError, receding_horizon_run
+from dpdispatch.dispatch import SOLVERS, SolverGuardError, receding_horizon_run
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
 from dpdispatch.scenario import ConfigError, ScenarioConfig, build_simulation, load_config
@@ -159,11 +159,15 @@ def _check_stored_columns(
     rest of the run contradicts: a `residual_kw` other than exactly
     `agg_kw - ref_kw` (it was written as the repr of that difference), a
     `violations` cell other than `violations`, the per-step count over
-    `temperatures.csv`, an `n_on` that is not an integer in [0, n_b], or a
-    flag other than 0 or 1.
+    `temperatures.csv`, an `n_on` that is not an integer in [0, n_b], clip
+    flags other than the closed loop's rules give on the stored floats, or
+    an `infeasible` other than 0 or 1.
     """
     n_on = results[:, 4]
-    residual = results[:, 2] - results[:, 1]
+    ref = results[:, 1]
+    residual = results[:, 2] - ref
+    clamped = ref != flags[:, 1]
+    clipped = ~((flags[:, 4] <= ref) & (ref <= flags[:, 4] + flags[:, 5]))
     checks = [
         ("results.csv", "residual_kw", results[:, 3], results[:, 3] != residual,
          lambda k: f"agg_kw - ref_kw = {residual[k]}"),
@@ -171,10 +175,12 @@ def _check_stored_columns(
          lambda k: f"an integer in [0, {n_b}]"),
         ("results.csv", "violations", results[:, 5], results[:, 5] != violations,
          lambda k: f"{violations[k]} from temperatures.csv"),
-    ] + [
-        ("flags.csv", FLAGS_HEADER[c], flags[:, c], (flags[:, c] != 0) & (flags[:, c] != 1),
-         lambda k: "0 or 1")
-        for c in (2, 3, 6)
+        ("flags.csv", "ref_clamped", flags[:, 2], flags[:, 2] != clamped,
+         lambda k: f"{int(clamped[k])} from ref_kw and ref_unclamped_kw"),
+        ("flags.csv", "target_clipped", flags[:, 3], flags[:, 3] != clipped,
+         lambda k: f"{int(clipped[k])} from ref_kw, must_on_kw and free_kw"),
+        ("flags.csv", "infeasible", flags[:, 6], (flags[:, 6] != 0) & (flags[:, 6] != 1),
+         lambda k: "0 or 1"),
     ]
     for name, column, stored, bad, expected in checks:
         if bad.any():
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, default=None, help="MPC prediction horizon override")
         p.add_argument("--n-buildings", dest="n_buildings", type=int, default=None)
         if with_solver:
-            p.add_argument("--solver", choices=("exact", "greedy"), default="greedy")
+            p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
             p.add_argument("--strict", action="store_true",
                            help="exit 3 when comfort infeasibility is flagged")
 
@@ -284,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error code, 2, is the guard's here
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except SolverGuardError as exc:

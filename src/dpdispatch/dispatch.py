@@ -9,8 +9,9 @@ Two solvers share one problem statement:
   step, and a node expands all its children with one gather and one
   accumulate. The cost-to-go bound (comfort and violation are separable per
   building; only the tracking term couples them) prunes and orders the
-  children. The result is read from the searched tables. Globally optimal,
-  guarded to small instances; serves as the oracle for the heuristic.
+  children. The incumbent is each building's leaf prefix, from which the
+  schedule and temperatures are read back. Globally optimal, guarded to
+  small instances; serves as the oracle for the heuristic.
 * solve_priority_heuristic -- per-step comfort classification (must-ON /
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
@@ -23,12 +24,13 @@ of p_rate (must-ON and free draw, capacity, mean free rating) go through
 _left_sum, which starts at int 0 so an empty set sums to int 0, as sum() did.
 Every column's draw z(k) = sum_j u_j(k) * p_rate_j comes from one fold,
 _column_draws, which accumulates down the building axis in building order:
-cost(), _result_from_schedule, aggregate_power and solve_exact (over the
-joint columns in itertools.product order, building 0 the most significant
-bit) call it, and the closed loop reads the applied column's draw from the
-solver's result. cost()'s comfort sums and each exact node's table sums
-accumulate the same way. Accumulate starts at the first building's term
-where a fold starts at 0.0; that changes no bit because no term is -0.0.
+cost(), _result (for both solvers) and solve_exact's tracking table (over
+the joint columns in itertools.product order, building 0 the most
+significant bit) call it, and the closed loop reads the applied column's
+draw from the solver's result. cost()'s comfort sums and each exact node's
+table sums accumulate the same way. Accumulate starts at the first
+building's term where a fold starts at 0.0; that changes no bit because no
+term is -0.0.
 The tracking residual d is squared as d * d everywhere, never with **,
 which CPython hands to the C library's pow.
 
@@ -183,17 +185,6 @@ def _column_draws(u: np.ndarray, p_rates: Sequence[float]) -> np.ndarray:
     return np.add.accumulate(u * p[:, None], axis=0)[-1]
 
 
-def aggregate_power(schedule: Schedule, k: int, p_rates: Sequence[float]) -> float:
-    """Fleet draw z(k) = sum_j u_j(k) * p_rate_j as a float, from _column_draws.
-
-    p_rate = 1 gives the bare count. Raises IndexError for a step outside
-    the schedule and ValueError unless p_rates has one rating per building.
-    """
-    if not (0 <= k < schedule.n_steps):
-        raise IndexError(f"step {k} outside schedule with {schedule.n_steps} columns")
-    return _column_draws(schedule.u[:, k : k + 1], p_rates).item()
-
-
 def predict_trajectories(
     problem: DispatchProblem, schedule: Schedule, n_steps: int
 ) -> np.ndarray:
@@ -255,19 +246,25 @@ def _violations_from_temps(temps: np.ndarray, config: MPCConfig):
     return tuple(zip(js.tolist(), ks.tolist(), overshoot[js, ks].tolist()))
 
 
+def _result(problem: DispatchProblem, schedule: Schedule, temps: np.ndarray, total: float,
+            config: MPCConfig, infeasible: bool) -> DispatchResult:
+    """The DispatchResult of a schedule, its predicted temperatures and its cost."""
+    return DispatchResult(
+        schedule=schedule,
+        aggregate_kw=tuple(_column_draws(schedule.u, [m.p_rate for m in problem.models]).tolist()),
+        cost=total,
+        per_building_error=temps - config.setpoint_xr,
+        violations=_violations_from_temps(temps, config),
+        infeasible=infeasible,
+    )
+
+
 def _result_from_schedule(
     problem: DispatchProblem, u: np.ndarray, config: MPCConfig, infeasible: bool = False
 ) -> DispatchResult:
     schedule = Schedule(u=u)
     temps = predict_trajectories(problem, schedule, schedule.n_steps)
-    return DispatchResult(
-        schedule=schedule,
-        aggregate_kw=tuple(_column_draws(schedule.u, [m.p_rate for m in problem.models]).tolist()),
-        cost=cost(problem, schedule, config),
-        per_building_error=temps - config.setpoint_xr,
-        violations=_violations_from_temps(temps, config),
-        infeasible=infeasible,
-    )
+    return _result(problem, schedule, temps, cost(problem, schedule, config), config, infeasible)
 
 
 # Relative slack on the bound prunes. A leaf's violation and cost and their
@@ -341,7 +338,7 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     (bits: one row per building, one column per joint column in
     itertools.product order), one gather from the step's stack, and an
     accumulate down the building axis, which sums in building order as a
-    direct evaluation does, so every leaf's (violation, cost, key) is
+    direct evaluation does, so every leaf's violation and cost are
     bit-identical to it.
 
     Comfort and violation are separable per building and only the tracking
@@ -360,11 +357,11 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     first dive finds a strong incumbent, and the first child over the
     violation bound ends the node: every later child is over it too.
 
-    The result is built from the searched tables: each building's
-    temperatures along its chosen prefixes, each step's draw from the joint
-    column sums, and the incumbent's cost, accumulated in cost()'s order.
-    Every field equals the one predict_trajectories, aggregate_power and
-    cost() would give, to the bit, without running them.
+    The incumbent is (violation, cost, each building's leaf prefix); the
+    schedule and temperatures are read back from the leaves' ancestors in
+    the prefix tree, and the cost, accumulated in cost()'s order, is the
+    incumbent's. Every field equals the one predict_trajectories and cost()
+    would give, to the bit, without running them.
 
     Raises SolverGuardError, before any table is built, above EXACT_GUARD
     binaries or when the prefix tree or a node's gather would exceed
@@ -398,23 +395,24 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     z = _column_draws(bits, [m.p_rate for m in problem.models])
     d = z - np.array(problem.reference[:n_p])[:, None]
     track = q_w * (d * d)
-    z_cols = z.tolist()
     track_min = track.min(axis=1).tolist()
     track_to_go = [0.0] * n_p
     for k in range(n_p - 2, -1, -1):
         track_to_go[k] = track_to_go[k + 1] + track_min[k + 1]
 
-    # the incumbent: violation, cost, row-major key and joint columns,
-    # compared in that order; the inf start loses to every leaf and trips no
-    # prune
-    best = [math.inf, math.inf, (), None]
+    # the incumbent: violation, cost and leaf prefixes, compared in that
+    # order; the inf start loses to every leaf and trips no prune. Building
+    # j's leaf is j * 2^n_p plus its schedule read as a binary number, first
+    # control most significant; every leaf has the same offsets, so the
+    # prefix tuples order leaves as their row-major schedules do
+    best = [math.inf, math.inf, ()]
     slack = 1.0 + _BOUND_MARGIN
 
-    def recurse(k: int, prefix: np.ndarray, part_cost: float, part_viol: float, cols: list[int]):
+    def recurse(k: int, prefix: np.ndarray, part_cost: float, part_viol: float):
         if k == n_p:
-            key = tuple(bits[:, cols].ravel().tolist())  # the schedule, row-major
-            if (part_viol, part_cost, key) < tuple(best[:3]):
-                best[:] = [part_viol, part_cost, key, list(cols)]
+            leaf = (part_viol, part_cost, tuple(prefix.tolist()))
+            if leaf < tuple(best):
+                best[:] = leaf
             return
 
         # children[j, c]: building j's child prefix in joint column c; per
@@ -444,32 +442,17 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
                 continue
             if new_viol >= best[0] and cost_bounds[c] > best[1] * slack:
                 continue
-            cols.append(c)
-            recurse(k + 1, children[:, c], new_cost, new_viol, cols)
-            cols.pop()
+            recurse(k + 1, children[:, c], new_cost, new_viol)
 
-    recurse(0, np.arange(n_b), 0.0, 0.0, [])
+    recurse(0, np.arange(n_b), 0.0, 0.0)
 
-    # the result from the searched tables: each building's temperatures
-    # along its chosen prefixes, each step's draw from the column sums, and
-    # the incumbent's cost, summed in cost()'s order
-    best_viol, best_cost, _, best_cols = best
-    schedule = Schedule(u=bits[:, best_cols])
-    flat = []  # tree index of each building's prefix at each step
-    for j, row in enumerate(schedule.u.tolist()):
-        q = j
-        for lv, bit in zip(level, row):
-            q = 2 * q + bit
-            flat.append(lv.start + q)
-    temps = tree[flat].reshape(n_b, n_p)
-    return DispatchResult(
-        schedule=schedule,
-        aggregate_kw=tuple(z_cols[c] for c in best_cols),
-        cost=best_cost,
-        per_building_error=temps - config.setpoint_xr,
-        violations=_violations_from_temps(temps, config),
-        infeasible=best_viol > 0,
-    )
+    # read back from the leaf: each building's prefix at step k is its leaf
+    # shifted right by n_p - 1 - k, whose last bit is its control at step k
+    best_viol, best_cost, leaf = best
+    prefixes = np.array(leaf)[:, None] >> np.arange(n_p - 1, -1, -1)
+    u = prefixes & 1
+    temps = tree[prefixes + [lv.start for lv in level]]
+    return _result(problem, Schedule(u=u), temps, best_cost, config, best_viol > 0)
 
 
 def classify_step(

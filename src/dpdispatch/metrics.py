@@ -30,9 +30,9 @@ class RunReport:
     n_on: tuple[int, ...]  # units ON per step
     must_on_kw: tuple[float, ...]  # power forced ON by comfort, per step
     free_kw: tuple[float, ...]  # dispatchable power on top of must-ON, per step
-    target_clipped: tuple[bool, ...]  # heuristic target hit the free-unit bounds
+    target_clipped: tuple[bool, ...]  # reference outside [must_on_kw, must_on_kw + free_kw]
     ref_clamped: tuple[bool, ...]  # reference fell outside [0, fleet capacity]
-    infeasible_steps: tuple[int, ...] = ()  # simultaneous must-ON/must-OFF overrides
+    infeasible_steps: tuple[int, ...] = ()  # some building has no in-band control
 
     @property
     def n_steps(self) -> int:

@@ -42,6 +42,13 @@ class BuildingParams:
     p_rate: float = 5.0  # kW
     jitter: float = 0.0  # relative spread applied per building when > 0
 
+    def __post_init__(self):
+        # classify_step assumes ON cools; a jitter of 1 could zero a and b
+        if not self.b < 0:
+            raise ConfigError(f"buildings.b must be negative (ON cools), got {self.b}")
+        if not 0 <= self.jitter < 1:
+            raise ConfigError(f"buildings.jitter must lie in [0, 1), got {self.jitter}")
+
 
 @dataclass(frozen=True)
 class TraceSources:

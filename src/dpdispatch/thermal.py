@@ -78,9 +78,8 @@ class DisturbanceTrace:
 def discretize(model: ContinuousThermalModel, dt_seconds: int = 600) -> DiscreteThermalModel:
     """Exact zero-order-hold discretization of the scalar system.
 
-    a_d = exp(a*dt); each input gain c becomes (a_d - 1)/a * c. The a = 0
-    limit (gain * dt) is handled for completeness even though the model type
-    requires a < 0.
+    a_d = exp(a*dt); each input gain c becomes (a_d - 1)/a * c. The model
+    type accepts a = 0, whose limit is a_d = 1 and gain * dt.
     """
     if dt_seconds <= 0:
         raise ValueError("dt_seconds must be positive")

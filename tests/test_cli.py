@@ -188,6 +188,26 @@ class TestSimulateCommand:
         assert rc == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    # a fleet that does not cool, or a jitter that could flip or zero a and b
+    @pytest.mark.parametrize("buildings, field", [
+        ("b: 6.0", "buildings.b"), ("b: 0.0", "buildings.b"),
+        ("jitter: -0.3", "buildings.jitter"), ("jitter: 1.0", "buildings.jitter"),
+    ], ids=["b-heats", "b-zero", "jitter-negative", "jitter-one"])
+    def test_fleet_that_does_not_cool_exits_one(self, tmp_path, capsys, buildings, field):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"n_buildings: 20\nbuildings:\n  {buildings}\n"
+            "traces:\n  days: 1\n  weather_mean_c: 20.0\nmpc:\n  horizon_np: 1\n"
+        )
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    def test_usage_error_is_not_the_guard_code(self, tmp_path):
+        rc = main(["simulate", "--solver", "simplex", "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG
+        assert main(["simulate", "--help"]) == EXIT_OK
+
 
 class TestPinnedDigests:
     """Gate files of fixed scenarios, byte for byte.
@@ -300,6 +320,8 @@ class TestReportCommand:
         (set_cell("flags.csv", 5, 2, "2"), "flags.csv: ref_clamped at step 4"),
         (set_cell("flags.csv", 5, 3, "0.5"), "flags.csv: target_clipped at step 4"),
         (set_cell("flags.csv", 5, 6, "-1"), "flags.csv: infeasible at step 4"),
+        (set_cell("flags.csv", 1, 2, "1"), "flags.csv: ref_clamped at step 0 is 1.0, expected 0"),
+        (set_cell("flags.csv", 4, 3, "1"), "flags.csv: target_clipped at step 3 is 1.0, expected 0"),
         (put_bad_byte("pv.csv", 10), "pv.csv: not utf-8 text: byte 0xff"),
         (put_bad_byte("pv.csv", 0), "pv.csv: not utf-8 text: byte 0xff"),
     ], ids=[
@@ -310,6 +332,7 @@ class TestReportCommand:
         "results-violations-edited", "results-residual-edited", "results-n-on-fractional",
         "results-n-on-negative", "results-n-on-above-fleet", "flags-ref-clamped-2",
         "flags-target-clipped-half", "flags-infeasible-negative",
+        "flags-ref-clamped-flipped", "flags-target-clipped-flipped",
         "pv-undecodable-cell", "pv-undecodable-header",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):

@@ -14,7 +14,6 @@ from dpdispatch.dispatch import (
     _column_draws,
     _left_sum,
     _level_tables,
-    aggregate_power,
     classify_step,
     _result_from_schedule,
     cost,
@@ -210,25 +209,6 @@ class TestSchedule:
             Schedule(u=u)
 
 
-class TestAggregatePower:
-    def test_all_off(self):
-        sched = Schedule(u=np.zeros((3, 2), dtype=int))
-        assert aggregate_power(sched, 0, [5.0, 5.0, 5.0]) == 0.0
-
-    def test_three_of_many_on(self):
-        u = np.zeros((100, 1), dtype=int)
-        u[[3, 40, 77], 0] = 1
-        assert aggregate_power(Schedule(u=u), 0, [5.0] * 100) == 15.0
-
-    def test_unit_rating_recovers_bare_count(self):
-        u = np.array([[1], [0], [1], [1]])
-        assert aggregate_power(Schedule(u=u), 0, [1.0] * 4) == 3.0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            aggregate_power(Schedule(u=np.zeros((2, 2), dtype=int)), 2, [1.0, 1.0])
-
-
 class TestCost:
     def test_zero_at_perfect_tracking_and_setpoint(self):
         # identity dynamics pinned at the setpoint, reference met exactly
@@ -328,8 +308,8 @@ class TestSolveExact:
         assert result.cost == cost(problem, result.schedule, config)
 
     def test_result_equals_one_built_from_its_schedule(self):
-        # the result comes from the searched tables; every field must equal
-        # the one predict_trajectories, aggregate_power and cost() give
+        # the result is read back from the searched prefix tree; every field
+        # must equal the one predict_trajectories and cost() give
         rng_tied, rng_random = np.random.default_rng(20261018), np.random.default_rng(2024)
         instances = [tied_instance(rng_tied) for _ in range(200)]
         instances += [random_instance(rng_random) for _ in range(40)]
@@ -536,8 +516,6 @@ class TestScalarReference:
         assert cost(problem, result.schedule, config) == total
         assert result.violations == violations
         assert (result.per_building_error == error).all()
-        for k in range(result.schedule.n_steps):
-            assert aggregate_power(result.schedule, k, self.P_RATES * 4) == aggregate[k]
 
     # the exact benchmark's shape: 4 buildings x horizon 5, 20 binaries; a
     # hot day, so the optimum leaves the band on both sides and the two
@@ -691,7 +669,7 @@ def random_fleet(rng, n_b):
 
 
 class TestRulesParity:
-    """classify_step, the greedy pick and aggregate_power against the plain rules."""
+    """classify_step and the greedy pick against the plain rules."""
 
     @pytest.mark.parametrize("v", [SWING_V, (30.0, 0.4), (20.0, 0.0), (36.0, 1.0)])
     def test_classify_matches_rules_on_random_fleets(self, v):
@@ -739,17 +717,6 @@ class TestRulesParity:
             u = solve_priority_heuristic(problem, config).schedule.u
             assert (u == rules_greedy_schedule(problem, config)).all()
 
-    @pytest.mark.parametrize("on", [0, 1])
-    def test_aggregate_power_uniform_columns(self, on):
-        rng = np.random.default_rng(41)
-        for ratings in ([4.3] * 37, [float(r) for r in rng.uniform(1.0, 6.0, size=53)]):
-            u = np.full((len(ratings), 2), on)
-            z = 0.0
-            for j in range(len(ratings)):
-                z += on * ratings[j]
-            assert aggregate_power(Schedule(u=u), 1, ratings) == z
-            assert type(aggregate_power(Schedule(u=u), 1, ratings)) is float
-
 
 # 0/1 schedules of 1-40 buildings and 1-8 columns, and ratings that are
 # either few and repeated or arbitrary
@@ -783,8 +750,6 @@ class TestColumnDraws:
         p_rates = [4.3] * (len(u) + delta)
         with pytest.raises(ValueError, match="ratings"):
             _column_draws(u, p_rates)
-        with pytest.raises(ValueError, match="ratings"):
-            aggregate_power(Schedule(u=u), 0, p_rates)
 
 
 class TestLeftSum:
