@@ -107,12 +107,14 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
         ([k, *report.temps[:, k].tolist()] for k in range(report.n_steps)),
     )
     infeasible = set(report.infeasible_steps)
+    # each property builds its tuple anew, so read it once, not once per row
+    ref_clamped, target_clipped = report.ref_clamped, report.target_clipped
     write_csv(
         out / "flags.csv",
         FLAGS_HEADER,
         [
-            (k, report.unclamped_reference_kw[k], int(report.ref_clamped[k]),
-             int(report.target_clipped[k]), report.must_on_kw[k],
+            (k, report.unclamped_reference_kw[k], int(ref_clamped[k]),
+             int(target_clipped[k]), report.must_on_kw[k],
              report.free_kw[k], int(k in infeasible))
             for k in range(report.n_steps)
         ],
@@ -153,21 +155,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _check_stored_columns(
-    out: Path, results: np.ndarray, flags: np.ndarray, n_b: int, violations: np.ndarray
+    out: Path, report: RunReport, results: np.ndarray, flags: np.ndarray, band: tuple
 ) -> None:
-    """Refuse, naming the file and the first bad step, a stored column that the
-    rest of the run contradicts: a `residual_kw` other than exactly
-    `agg_kw - ref_kw` (it was written as the repr of that difference), a
-    `violations` cell other than `violations`, the per-step count over
-    `temperatures.csv`, an `n_on` that is not an integer in [0, n_b], clip
-    flags other than the closed loop's rules give on the stored floats, or
-    an `infeasible` other than 0 or 1.
+    """Refuse, naming the file and the first bad step, a stored column that
+    `report`, the RunReport of the stored measured columns, contradicts: a
+    `residual_kw`, `ref_clamped` or `target_clipped` other than `report`'s
+    own, evaluated on the stored floats (`residual_kw` was written as the
+    repr of `agg_kw - ref_kw`), a `violations` cell other than the per-step
+    count over `temperatures.csv`, an `n_on` that is not an integer in
+    [0, n_b], or an `infeasible` other than 0 or 1.
     """
+    n_b = report.temps.shape[0]
     n_on = results[:, 4]
-    ref = results[:, 1]
-    residual = results[:, 2] - ref
-    clamped = ref != flags[:, 1]
-    clipped = ~((flags[:, 4] <= ref) & (ref <= flags[:, 4] + flags[:, 5]))
+    residual, clamped, clipped = report.residual_kw, report.ref_clamped, report.target_clipped
+    violations = metrics.comfort_violations_per_step(report, band)
     checks = [
         ("results.csv", "residual_kw", results[:, 3], results[:, 3] != residual,
          lambda k: f"agg_kw - ref_kw = {residual[k]}"),
@@ -229,13 +230,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         n_on=tuple(results[:, 4].astype(int).tolist()),
         must_on_kw=tuple(flags[:, 4].tolist()),
         free_kw=tuple(flags[:, 5].tolist()),
-        target_clipped=tuple((flags[:, 3] != 0).tolist()),
-        ref_clamped=tuple((flags[:, 2] != 0).tolist()),
         infeasible_steps=tuple(flags[flags[:, 6] != 0, 0].astype(int).tolist()),
     )
-    _check_stored_columns(
-        out, results, flags, n_b, metrics.comfort_violations_per_step(report, band)
-    )
+    _check_stored_columns(out, report, results, flags, band)
     summary = metrics.summarize(report, band=band)
     write_csv(out / "summary.csv", list(summary), [list(summary.values())])
     print(

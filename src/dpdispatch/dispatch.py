@@ -16,6 +16,9 @@ Two solvers share one problem statement:
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
 
+Both return the schedule and what it predicts, with no plan flag; the closed
+loop flags infeasible steps from classify_step on the realized state.
+
 Every float sum is a left fold in a fixed order, so that outputs are
 bit-identical across builds and Python versions and a solver's reported cost
 equals a recomputation via cost() to the bit. Builtin sum() is avoided: from
@@ -45,6 +48,7 @@ BuildingState objects or plain temperatures; the solvers read init_temps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -80,6 +84,8 @@ class MPCConfig:
     comfort_max: float = 23.5
 
     def __post_init__(self):
+        if isinstance(self.horizon_np, bool) or not isinstance(self.horizon_np, numbers.Integral):
+            raise ValueError(f"mpc.horizon_np must be an integer, got {self.horizon_np!r}")
         if self.horizon_np < 1:
             raise ValueError("horizon_np must be at least 1")
         if self.weight_q < 0 or self.weight_r < 0:
@@ -151,10 +157,7 @@ class DispatchResult:
     cost: float
     per_building_error: np.ndarray  # e_i(k) = predicted temp - setpoint
     violations: tuple[tuple[int, int, float], ...]  # (building, step, overshoot degC)
-    # the solver's plan: greedy, some planned step had a building with no
-    # in-band control; exact, the optimal schedule violates the comfort band.
-    # The closed loop flags steps from classify_step and does not read it.
-    infeasible: bool = False
+    # no plan flag: the closed loop flags infeasible steps from classify_step
 
 
 def _effective_horizon(problem: DispatchProblem, config: MPCConfig) -> int:
@@ -247,7 +250,7 @@ def _violations_from_temps(temps: np.ndarray, config: MPCConfig):
 
 
 def _result(problem: DispatchProblem, schedule: Schedule, temps: np.ndarray, total: float,
-            config: MPCConfig, infeasible: bool) -> DispatchResult:
+            config: MPCConfig) -> DispatchResult:
     """The DispatchResult of a schedule, its predicted temperatures and its cost."""
     return DispatchResult(
         schedule=schedule,
@@ -255,16 +258,15 @@ def _result(problem: DispatchProblem, schedule: Schedule, temps: np.ndarray, tot
         cost=total,
         per_building_error=temps - config.setpoint_xr,
         violations=_violations_from_temps(temps, config),
-        infeasible=infeasible,
     )
 
 
 def _result_from_schedule(
-    problem: DispatchProblem, u: np.ndarray, config: MPCConfig, infeasible: bool = False
+    problem: DispatchProblem, u: np.ndarray, config: MPCConfig
 ) -> DispatchResult:
     schedule = Schedule(u=u)
     temps = predict_trajectories(problem, schedule, schedule.n_steps)
-    return _result(problem, schedule, temps, cost(problem, schedule, config), config, infeasible)
+    return _result(problem, schedule, temps, cost(problem, schedule, config), config)
 
 
 # Relative slack on the bound prunes. A leaf's violation and cost and their
@@ -448,11 +450,11 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
 
     # read back from the leaf: each building's prefix at step k is its leaf
     # shifted right by n_p - 1 - k, whose last bit is its control at step k
-    best_viol, best_cost, leaf = best
+    _, best_cost, leaf = best
     prefixes = np.array(leaf)[:, None] >> np.arange(n_p - 1, -1, -1)
     u = prefixes & 1
     temps = tree[prefixes + [lv.start for lv in level]]
-    return _result(problem, Schedule(u=u), temps, best_cost, config, best_viol > 0)
+    return _result(problem, Schedule(u=u), temps, best_cost, config)
 
 
 def classify_step(
@@ -514,12 +516,10 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
     dist = problem.disturbance_forecast
     u = np.zeros((n_b, n_p), dtype=np.int8)
     temps = problem.init_temps
-    any_infeasible = False
 
     for k in range(n_p):
         t_out, q_sol = dist.t_out[k], dist.q_solar[k]
-        must_on, must_off, free, infeasible = classify_step(models, temps, (t_out, q_sol), config)
-        any_infeasible = any_infeasible or infeasible
+        must_on, _, free, _ = classify_step(models, temps, (t_out, q_sol), config)
         forced_kw = _left_sum(map(rate, must_on))
         residual = problem.reference[k] - forced_kw
         if free:
@@ -540,7 +540,7 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
         u[:, k] = col
         temps = [predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, temps, col)]
 
-    return _result_from_schedule(problem, u, config, infeasible=any_infeasible)
+    return _result_from_schedule(problem, u, config)
 
 
 SOLVERS = {
@@ -580,11 +580,10 @@ def receding_horizon_run(
     capacity = _left_sum(p_rates)
     raw_ref = reference.values
     clamped = [min(max(r, 0.0), capacity) for r in raw_ref]
-    ref_clamped = tuple(c != r for c, r in zip(clamped, raw_ref))
 
     temps_hist = np.empty((n_b, n_steps))
     agg, n_on = [], []
-    must_on_kw, free_kw, target_clipped = [], [], []
+    must_on_kw, free_kw = [], []
     infeasible_steps = []
 
     cur_temps = [s.temp for s in init_states]
@@ -607,11 +606,8 @@ def receding_horizon_run(
         must_on, _must_off, free, infeasible = classify_step(
             models, cur_temps, (t_out, q_sol), config
         )
-        forced = _left_sum(map(rate, must_on))
-        dispatchable = _left_sum(map(rate, free))
-        must_on_kw.append(forced)
-        free_kw.append(dispatchable)
-        target_clipped.append(not (forced <= clamped[t] <= forced + dispatchable))
+        must_on_kw.append(_left_sum(map(rate, must_on)))
+        free_kw.append(_left_sum(map(rate, free)))
         if infeasible:
             infeasible_steps.append(t)
 
@@ -641,7 +637,5 @@ def receding_horizon_run(
         n_on=tuple(n_on),
         must_on_kw=tuple(must_on_kw),
         free_kw=tuple(free_kw),
-        target_clipped=tuple(target_clipped),
-        ref_clamped=ref_clamped,
         infeasible_steps=tuple(infeasible_steps),
     )

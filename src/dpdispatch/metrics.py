@@ -1,7 +1,7 @@
 """Run-level statistics: tracking error, comfort violations, noise checks.
 
-All functions are pure and operate on an immutable RunReport assembled by the
-closed-loop driver.
+All functions are pure and operate on an immutable RunReport, assembled by
+the closed-loop driver or, from the stored run files, by `report`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ class RunReport:
     aggregate_kw: tuple[float, ...]  # realized fleet consumption
     temps: np.ndarray  # (n_buildings, n_steps) realized indoor temperatures
     n_on: tuple[int, ...]  # units ON per step
-    must_on_kw: tuple[float, ...]  # power forced ON by comfort, per step
-    free_kw: tuple[float, ...]  # dispatchable power on top of must-ON, per step
-    target_clipped: tuple[bool, ...]  # reference outside [must_on_kw, must_on_kw + free_kw]
-    ref_clamped: tuple[bool, ...]  # reference fell outside [0, fleet capacity]
+    must_on_kw: tuple[float, ...]  # power forced ON by comfort, per step (int 0 if none)
+    free_kw: tuple[float, ...]  # dispatchable power on top of must-ON, per step (int 0 if none)
     infeasible_steps: tuple[int, ...] = ()  # some building has no in-band control
 
     @property
@@ -41,6 +39,19 @@ class RunReport:
     @property
     def residual_kw(self) -> tuple[float, ...]:
         return tuple(a - r for a, r in zip(self.aggregate_kw, self.reference_kw))
+
+    @property
+    def ref_clamped(self) -> tuple[bool, ...]:
+        """Per step, whether clamping to [0, fleet capacity] moved the reference."""
+        return tuple(c != r for c, r in zip(self.reference_kw, self.unclamped_reference_kw))
+
+    @property
+    def target_clipped(self) -> tuple[bool, ...]:
+        """Per step, whether the reference lies outside [must_on_kw, must_on_kw + free_kw]."""
+        return tuple(
+            not (m <= r <= m + f)
+            for r, m, f in zip(self.reference_kw, self.must_on_kw, self.free_kw)
+        )
 
     @property
     def clamp_count(self) -> int:

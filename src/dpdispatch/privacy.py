@@ -12,6 +12,7 @@ regeneration under a fixed seed is bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ class DPParams:
             raise ValueError("sensitivity must be positive and finite")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        if not (0 <= int(self.seed) < 2**64):
+        # a float seed, even 2.0, is refused: SeedSequence takes only integers
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"dp.seed must be an integer, got {self.seed!r}")
+        if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
 
     @property

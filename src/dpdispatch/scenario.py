@@ -8,6 +8,7 @@ traces); every value has a default so the toolkit runs with no file at all.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -31,6 +32,13 @@ SECONDS_PER_DAY = 86400
 
 class ConfigError(ValueError):
     """Bad or inconsistent scenario configuration."""
+
+
+def _check_integer(name: str, value: Any) -> None:
+    """Refuse, naming the field, a value that is not an integer; a YAML float
+    such as 2.0 is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,18 @@ class TraceSources:
     weather_mean_c: float = 30.0
     weather_swing_c: float = 5.0
 
+    def __post_init__(self):
+        _check_integer("traces.days", self.days)
+        _check_integer("traces.step_seconds", self.step_seconds)
+        # synth_pv's cloud multiplier 1 - cloud_intensity * [0, 1] stays in
+        # [0, 1], so the PV trace stays nonnegative
+        if not 0 <= self.cloud_intensity <= 1:
+            raise ConfigError(
+                f"traces.cloud_intensity must lie in [0, 1], got {self.cloud_intensity}"
+            )
+        if not self.pv_peak_kw >= 0:
+            raise ConfigError(f"traces.pv_peak_kw must be nonnegative, got {self.pv_peak_kw}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -72,6 +92,8 @@ class ScenarioConfig:
     traces: TraceSources = field(default_factory=TraceSources)
 
     def __post_init__(self):
+        _check_integer("n_buildings", self.n_buildings)
+        _check_integer("seed", self.seed)
         if self.n_buildings < 1:
             raise ConfigError("n_buildings must be at least 1")
 
@@ -121,7 +143,8 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         return dict(sec)
 
     try:
-        top_seed = int(overrides.get("seed", raw.get("seed", ScenarioConfig.seed)))
+        top_seed = overrides.get("seed", raw.get("seed", ScenarioConfig.seed))
+        _check_integer("seed", top_seed)  # before it seeds the noise stream
         dp_kwargs = section("dp")
         if "epsilon" in overrides:
             dp_kwargs["epsilon"] = overrides["epsilon"]
@@ -132,7 +155,7 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
             mpc_kwargs["horizon_np"] = overrides["horizon"]
         n_buildings = overrides.get("n_buildings", raw.get("n_buildings", ScenarioConfig.n_buildings))
         cfg = ScenarioConfig(
-            n_buildings=int(n_buildings),
+            n_buildings=n_buildings,
             seed=top_seed,
             dp=DPParams(**dp_kwargs),
             mpc=MPCConfig(**mpc_kwargs),

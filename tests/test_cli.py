@@ -3,10 +3,14 @@ import hashlib
 import itertools
 import json
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from dpdispatch.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _emit_run_files, main
 from dpdispatch.metrics import RunReport
@@ -171,7 +175,6 @@ class TestSimulateCommand:
             unclamped_reference_kw=zeros, aggregate_kw=zeros,
             temps=np.random.default_rng(16).uniform(22.0, 24.0, (n_b, n_steps)),
             n_on=(0,) * n_steps, must_on_kw=zeros, free_kw=zeros,
-            target_clipped=(False,) * n_steps, ref_clamped=(False,) * n_steps,
         )
         tracemalloc.start()
         try:
@@ -202,6 +205,35 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    # values that escaped main as a TypeError, were truncated, or gave a
+    # negative PV trace; the n_buildings cases take the file's fleet size
+    @pytest.mark.parametrize("text, field", [
+        ("dp:\n  seed: 1.5\n", "dp.seed"),
+        ("dp:\n  seed: 2.0\n", "dp.seed"),
+        ("mpc:\n  horizon_np: 2.5\n", "mpc.horizon_np"),
+        ("mpc:\n  horizon_np: 2.0\n", "mpc.horizon_np"),
+        ("n_buildings: 2.5\n", "n_buildings"),
+        ("n_buildings: 2.0\n", "n_buildings"),
+        ("seed: 1.5\n", "error: seed"),
+        ("traces:\n  days: 1.5\n", "traces.days"),
+        ("traces:\n  step_seconds: 600.0\n", "traces.step_seconds"),
+        ("traces:\n  cloud_intensity: 2\n", "traces.cloud_intensity"),
+        ("traces:\n  cloud_intensity: -0.5\n", "traces.cloud_intensity"),
+        ("traces:\n  pv_peak_kw: -5\n", "traces.pv_peak_kw"),
+    ], ids=["dp-seed-fraction", "dp-seed-float", "horizon-fraction", "horizon-float",
+            "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
+            "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative"])
+    def test_bad_scenario_value_exits_one(self, tmp_path, capsys, text, field):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "r")]
+        if not text.startswith("n_buildings"):
+            argv += ["--n-buildings", "3"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err
+        assert not (tmp_path / "r").exists()
 
     def test_usage_error_is_not_the_guard_code(self, tmp_path):
         rc = main(["simulate", "--solver", "simplex", "--out", str(tmp_path / "r")])
@@ -342,6 +374,43 @@ class TestReportCommand:
         rc = main(["report", "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    # (solver, n_buildings, horizon); exact at 12 binaries or fewer
+    @settings(max_examples=40, deadline=None)
+    @given(
+        solver_shape=st.one_of(
+            st.tuples(st.just("greedy"), st.integers(1, 12), st.integers(1, 3)),
+            st.tuples(st.just("exact"), st.integers(1, 6), st.integers(1, 3)).filter(
+                lambda s: s[1] * s[2] <= 12),
+        ),
+        jitter=st.floats(0.0, 0.3),
+        weather_mean=st.floats(20.0, 32.0),
+        p_rate=st.sampled_from([4.3, 5.1]),
+        epsilon=st.sampled_from([0.1, 1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_round_trip(self, solver_shape, jitter, weather_mean, p_rate, epsilon, seed):
+        # report rebuilds the run from the stored floats and checks the
+        # stored flags against RunReport's own definitions, so a flag the
+        # loop's floats and their repr round trip decide differently fails it
+        solver, n_b, horizon = solver_shape
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.yaml"
+            # safe_dump writes floats so that YAML reads them back as floats;
+            # 5e-324 as written by repr would load as a string
+            cfg.write_text(yaml.safe_dump({
+                "n_buildings": n_b, "seed": seed, "dp": {"epsilon": epsilon},
+                "buildings": {"jitter": jitter, "p_rate": p_rate},
+                "traces": {"days": 1, "weather_mean_c": weather_mean, "pv_peak_kw": 5.0 * n_b},
+            }))
+            out = Path(tmp) / "run"
+            argv = ["simulate", "--config", str(cfg), "--out", str(out), "--solver", solver,
+                    "--horizon", str(horizon)]
+            assert main(argv) == EXIT_OK
+            before = (out / "summary.csv").read_bytes()
+            (out / "summary.csv").unlink()
+            assert main(["report", "--out", str(out)]) == EXIT_OK
+            assert (out / "summary.csv").read_bytes() == before
 
     def test_empty_directory_errors(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "missing")])

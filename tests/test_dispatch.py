@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,6 +24,7 @@ from dpdispatch.dispatch import (
     solve_priority_heuristic,
 )
 from dpdispatch.metrics import comfort_violations_per_step
+from dpdispatch.privacy import DPParams, compute_net_pv, generate_noise_trace
 from dpdispatch.scenario import BuildingParams, ScenarioConfig, TraceSources, build_simulation
 from dpdispatch.thermal import BuildingState, DiscreteThermalModel, DisturbanceTrace, predict_temp
 from dpdispatch.traces import Trace
@@ -174,13 +176,12 @@ def assert_same_result(got, want):
     assert got.per_building_error.shape == want.per_building_error.shape
     assert got.per_building_error.tobytes() == want.per_building_error.tobytes()
     assert got.violations == want.violations
-    assert got.infeasible == want.infeasible
 
 
 def assert_result_from_its_schedule(problem, config):
     """solve_exact's result equals, field by field, the one built from its schedule."""
     got = solve_exact(problem, config)
-    assert_same_result(got, _result_from_schedule(problem, got.schedule.u, config, got.infeasible))
+    assert_same_result(got, _result_from_schedule(problem, got.schedule.u, config))
 
 
 class TestDispatchProblem:
@@ -278,7 +279,7 @@ class TestSolveExact:
             oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
             assert got.cost == oracle_cost
             assert got.schedule.u.tolist() == oracle_u.tolist()
-            assert got.infeasible == (oracle_viol > 0)
+            assert bool(got.violations) == (oracle_viol > 0)
             n_violating += oracle_viol > 0
         assert 0 < n_violating < 200
 
@@ -330,7 +331,7 @@ class TestSolveExact:
             oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
             assert got.cost == oracle_cost
             assert got.schedule.u.tolist() == oracle_u.tolist()
-            assert got.infeasible == (oracle_viol > 0)
+            assert bool(got.violations) == (oracle_viol > 0)
 
     @pytest.mark.parametrize("kind", sorted(WIDE))
     def test_result_equals_one_built_from_its_schedule_at_five_and_six_buildings(self, kind):
@@ -854,3 +855,131 @@ class TestRecedingHorizon:
                 DisturbanceTrace(t_out=(30.0,), q_solar=(0.0,)),
                 self._reference([1.0]), MPCConfig(), "simplex",
             )
+
+
+def rules_closed_loop(models, init_temps, dist, raw_ref, config):
+    """receding_horizon_run's greedy loop by the plain rules, as RunReport's
+    fields and derived flags.
+
+    Per step: the reference clamped to [0, capacity], the capacity a left
+    fold from int 0; rules_greedy_schedule over the horizon (target count,
+    ranking and its own advance), and the draw of its first column from
+    scalar_reference; must-ON and free kW as left folds from int 0 over
+    rules_classify's split of the realized state, which also flags the step
+    infeasible; the realized advance by the first column, written out as
+    a_d x + b_d u + g_t t_out + g_s q. The clamp and clip flags are plain
+    comparisons with the bounds.
+    """
+    n_b, n_steps = len(models), len(raw_ref)
+    p_rates = [m.p_rate for m in models]
+    capacity = 0
+    for rating in p_rates:
+        capacity = capacity + rating
+    reference = [0.0 if r < 0.0 else capacity if r > capacity else r for r in raw_ref]
+
+    temps = list(init_temps)
+    temp_cols, aggregate, n_on, must_on_kw, free_kw, infeasible_steps = [], [], [], [], [], []
+    for t in range(n_steps):
+        horizon = min(config.horizon_np, n_steps - t)
+        problem = DispatchProblem(
+            models=tuple(models),
+            init_states=tuple(BuildingState(temp=x) for x in temps),
+            disturbance_forecast=DisturbanceTrace(
+                t_out=dist.t_out[t : t + horizon], q_solar=dist.q_solar[t : t + horizon]
+            ),
+            reference=tuple(reference[t : t + horizon]),
+        )
+        u = rules_greedy_schedule(problem, config)
+        draws, _, _, _ = scalar_reference(problem, Schedule(u=u), config)
+        aggregate.append(float(draws[0]))
+        n_on.append(sum(1 for j in range(n_b) if u[j, 0] == 1))
+
+        t_out, q_sol = dist.t_out[t], dist.q_solar[t]
+        must_on, _, free, infeasible = rules_classify(models, temps, (t_out, q_sol), config)
+        forced = 0
+        for j in must_on:
+            forced = forced + p_rates[j]
+        dispatchable = 0
+        for j in free:
+            dispatchable = dispatchable + p_rates[j]
+        must_on_kw.append(forced)
+        free_kw.append(dispatchable)
+        if infeasible:
+            infeasible_steps.append(t)
+
+        temps = [
+            m.a_d * x + m.b_d * int(u[j, 0]) + m.g_d_temp * t_out + m.g_d_solar * q_sol
+            for j, (m, x) in enumerate(zip(models, temps))
+        ]
+        temp_cols.append(temps)
+
+    return {
+        "n_steps": n_steps,
+        "reference_kw": tuple(reference),
+        "unclamped_reference_kw": tuple(raw_ref),
+        "aggregate_kw": tuple(aggregate),
+        "temps": np.array(temp_cols).T,
+        "n_on": tuple(n_on),
+        "must_on_kw": tuple(must_on_kw),
+        "free_kw": tuple(free_kw),
+        "infeasible_steps": tuple(infeasible_steps),
+        "residual_kw": tuple(a - r for a, r in zip(aggregate, reference)),
+        "ref_clamped": tuple(r < 0.0 or r > capacity for r in raw_ref),
+        "target_clipped": tuple(
+            r < m or r > m + f for r, m, f in zip(reference, must_on_kw, free_kw)
+        ),
+        "clamp_count": sum(1 for r in raw_ref if r < 0.0 or r > capacity),
+        "negative_reference_steps": sum(1 for r in raw_ref if r < 0.0),
+    }
+
+
+def exact_values(values):
+    """Each value's type and repr: equal lists mean equal values to the bit,
+    the sign of zero and int 0 against 0.0 included."""
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestClosedLoopSpec:
+    """receding_horizon_run's greedy report against rules_closed_loop."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ratings=st.lists(st.one_of(st.sampled_from([4.3, 5.1]), st.floats(1.0, 6.0)),
+                         min_size=1, max_size=10),
+        jitter=st.floats(0.0, 0.3),
+        weather_mean=st.floats(20.0, 32.0),
+        pv_per_building=st.floats(1.0, 15.0),
+        epsilon=st.sampled_from([0.1, 1.0]),
+        horizon=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_greedy_run_matches_the_rules(
+        self, ratings, jitter, weather_mean, pv_per_building, epsilon, horizon, seed
+    ):
+        n_b = len(ratings)
+        cfg = ScenarioConfig(
+            n_buildings=n_b, seed=seed, dp=DPParams(epsilon=epsilon, seed=seed),
+            mpc=MPCConfig(horizon_np=horizon), buildings=BuildingParams(jitter=jitter),
+            traces=TraceSources(days=1, weather_mean_c=weather_mean,
+                                pv_peak_kw=pv_per_building * n_b),
+        )
+        models, states, dist, pv = build_simulation(cfg)
+        models = [dataclasses.replace(m, p_rate=r) for m, r in zip(models, ratings)]
+        noise = generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
+        net = compute_net_pv(pv, noise)
+        report = receding_horizon_run(
+            models, states, dist, net, cfg.mpc, "greedy", pv=pv, noise_kw=noise.values
+        )
+        spec = rules_closed_loop(models, [s.temp for s in states], dist, net.values, cfg.mpc)
+
+        assert report.step_seconds == net.step_seconds
+        assert report.pv_kw == pv.values
+        assert report.noise_kw == noise.values
+        assert report.temps.shape == spec["temps"].shape
+        assert report.temps.tobytes() == spec["temps"].tobytes()
+        for name in ("n_steps", "clamp_count", "negative_reference_steps"):
+            assert getattr(report, name) == spec[name], name
+        for name in ("reference_kw", "unclamped_reference_kw", "aggregate_kw", "n_on",
+                     "must_on_kw", "free_kw", "infeasible_steps", "residual_kw",
+                     "ref_clamped", "target_clipped"):
+            assert exact_values(getattr(report, name)) == exact_values(spec[name]), name

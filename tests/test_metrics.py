@@ -34,8 +34,6 @@ def make_report(reference, aggregate, temps=None, pv=None, noise=None):
         n_on=tuple(0 for _ in range(n)),
         must_on_kw=tuple(0.0 for _ in range(n)),
         free_kw=tuple(0.0 for _ in range(n)),
-        target_clipped=tuple(False for _ in range(n)),
-        ref_clamped=tuple(False for _ in range(n)),
     )
 
 
