@@ -19,10 +19,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from dpdispatch import metrics
-from dpdispatch.dispatch import SOLVERS, SolverGuardError, receding_horizon_run
+from dpdispatch.dispatch import SOLVERS, MPCConfig, SolverGuardError, receding_horizon_run
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
-from dpdispatch.scenario import ConfigError, ScenarioConfig, build_simulation, load_config
+from dpdispatch.scenario import (ConfigError, ScenarioConfig, TraceSources, build_simulation,
+                                 check_fields, load_config)
 from dpdispatch.traces import Trace, TraceError, read_table, save_trace, write_csv
 
 if TYPE_CHECKING:
@@ -161,13 +162,16 @@ def _check_stored_columns(
     `report`, the RunReport of the stored measured columns, contradicts: a
     `residual_kw`, `ref_clamped` or `target_clipped` other than `report`'s
     own, evaluated on the stored floats (`residual_kw` was written as the
-    repr of `agg_kw - ref_kw`), a `violations` cell other than the per-step
-    count over `temperatures.csv`, an `n_on` that is not an integer in
-    [0, n_b], or an `infeasible` other than 0 or 1.
+    repr of `agg_kw - ref_kw`), a `ref_unclamped_kw` other than
+    `compute_net_pv` of the stored `pv_kw` and `noise_kw`, a `violations`
+    cell other than the per-step count over `temperatures.csv`, an `n_on`
+    that is not an integer in [0, n_b], or an `infeasible` other than 0 or 1.
     """
     n_b = report.temps.shape[0]
     n_on = results[:, 4]
     residual, clamped, clipped = report.residual_kw, report.ref_clamped, report.target_clipped
+    net = compute_net_pv(*(Trace(values=v, unit="kW", step_seconds=report.step_seconds)
+                           for v in (report.pv_kw, report.noise_kw))).values
     violations = metrics.comfort_violations_per_step(report, band)
     checks = [
         ("results.csv", "residual_kw", results[:, 3], results[:, 3] != residual,
@@ -176,6 +180,8 @@ def _check_stored_columns(
          lambda k: f"an integer in [0, {n_b}]"),
         ("results.csv", "violations", results[:, 5], results[:, 5] != violations,
          lambda k: f"{violations[k]} from temperatures.csv"),
+        ("flags.csv", "ref_unclamped_kw", flags[:, 1], flags[:, 1] != net,
+         lambda k: f"pv_kw - noise_kw = {net[k]}"),
         ("flags.csv", "ref_clamped", flags[:, 2], flags[:, 2] != clamped,
          lambda k: f"{int(clamped[k])} from ref_kw and ref_unclamped_kw"),
         ("flags.csv", "target_clipped", flags[:, 3], flags[:, 3] != clipped,
@@ -200,9 +206,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise TraceError(f"file not found: {manifest_path}")
     try:
         config = json.loads(manifest_path.read_text())["config"]
-        band = (config["mpc"]["comfort_min"], config["mpc"]["comfort_max"])
-        step_seconds = config["traces"]["step_seconds"]
         n_b = config["n_buildings"]
+        check_fields("", ScenarioConfig, {"n_buildings": n_b})
+        check_fields("mpc.", MPCConfig, config["mpc"])
+        check_fields("traces.", TraceSources, config["traces"])
+        mpc, traces = MPCConfig(**config["mpc"]), TraceSources(**config["traces"])
         temp_header = _temperatures_header(n_b)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest: {exc!r}") from None
@@ -219,8 +227,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{out / name}: {len(table)} data rows, results.csv has {len(results)}"
             )
 
+    band = (mpc.comfort_min, mpc.comfort_max)
     report = RunReport(
-        step_seconds=step_seconds,
+        step_seconds=traces.step_seconds,
         pv_kw=tuple(pv[:, 1].tolist()),
         noise_kw=tuple(noise[:, 1].tolist()),
         reference_kw=tuple(results[:, 1].tolist()),

@@ -48,7 +48,6 @@ BuildingState objects or plain temperatures; the solvers read init_temps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -84,8 +83,6 @@ class MPCConfig:
     comfort_max: float = 23.5
 
     def __post_init__(self):
-        if isinstance(self.horizon_np, bool) or not isinstance(self.horizon_np, numbers.Integral):
-            raise ValueError(f"mpc.horizon_np must be an integer, got {self.horizon_np!r}")
         if self.horizon_np < 1:
             raise ValueError("horizon_np must be at least 1")
         if self.weight_q < 0 or self.weight_r < 0:
@@ -563,13 +560,25 @@ def receding_horizon_run(
 
     The reference is clamped to [0, fleet capacity] before dispatch; clamped
     steps are counted in the report. pv / noise_kw, when given, are carried
-    into the report so privacy divergence can be measured downstream.
+    into the report so privacy divergence can be measured downstream. Inputs
+    whose step sizes disagree, or a pv / noise_kw whose length differs from
+    the reference's, are refused before the first step.
     """
     models = tuple(models)
     n_b = len(models)
     n_steps = len(reference)
     if len(disturbances) < n_steps:
         raise ValueError("disturbance trace shorter than the simulation")
+    model_steps = {m.dt_seconds for m in models}
+    pv_steps = set() if pv is None else {pv.step_seconds}
+    if model_steps | pv_steps | {disturbances.step_seconds} != {reference.step_seconds}:
+        raise ValueError(
+            f"step sizes disagree: reference {reference.step_seconds} s, disturbances "
+            f"{disturbances.step_seconds} s, models {sorted(model_steps)} s, pv {sorted(pv_steps)} s"
+        )
+    for name, series in (("pv", pv), ("noise_kw", noise_kw)):
+        if series is not None and len(series) != n_steps:
+            raise ValueError(f"{name} has {len(series)} steps, the reference {n_steps}")
     try:
         solver = SOLVERS[solver_choice]
     except KeyError:

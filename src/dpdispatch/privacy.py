@@ -12,7 +12,6 @@ regeneration under a fixed seed is bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ class DPParams:
 
     epsilon: float
     sensitivity: float = 1.0
-    delta: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -37,18 +35,8 @@ class DPParams:
             raise ValueError("epsilon must be positive and finite")
         if not (self.sensitivity > 0 and math.isfinite(self.sensitivity)):
             raise ValueError("sensitivity must be positive and finite")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
-        # a float seed, even 2.0, is refused: SeedSequence takes only integers
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"dp.seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-
-    @property
-    def delta_is_slack(self) -> bool:
-        """Laplace gives (epsilon, 0)-DP, so any delta > 0 is pure slack."""
-        return self.delta > 0.0
 
 
 def laplace_scale(params: DPParams) -> float:

@@ -8,7 +8,9 @@ traces); every value has a default so the toolkit runs with no file at all.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -34,11 +36,24 @@ class ConfigError(ValueError):
     """Bad or inconsistent scenario configuration."""
 
 
-def _check_integer(name: str, value: Any) -> None:
-    """Refuse, naming the field, a value that is not an integer; a YAML float
-    such as 2.0 is refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def check_fields(prefix: str, cls: type, values: dict[str, Any]) -> None:
+    """Refuse, naming `prefix + field`, a value the field's declared type in
+    `cls` does not allow: `int` an integer (a YAML 2.0 is not truncated),
+    `float` a number finite as a float, `str | None` a string or null; a
+    bool is not a number. Undeclared names are left to the constructor."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{prefix.rstrip('.')} must be a mapping, got {values!r}")
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        kind = declared.get(name)
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if kind == "int" and not (number and isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{prefix}{name} must be an integer, got {value!r}")
+        if kind == "float" and not (number and abs(value) <= sys.float_info.max):
+            hint = " (in YAML, write 1.0e-5, not 1e-5)" if isinstance(value, str) else ""
+            raise ConfigError(f"{prefix}{name} must be a finite number, got {value!r}{hint}")
+        if kind == "str | None" and not (value is None or isinstance(value, str)):
+            raise ConfigError(f"{prefix}{name} must be a path string or null, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,9 @@ class TraceSources:
     weather_swing_c: float = 5.0
 
     def __post_init__(self):
-        _check_integer("traces.days", self.days)
-        _check_integer("traces.step_seconds", self.step_seconds)
+        for name in ("days", "step_seconds"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"traces.{name} must be at least 1, got {getattr(self, name)}")
         # synth_pv's cloud multiplier 1 - cloud_intensity * [0, 1] stays in
         # [0, 1], so the PV trace stays nonnegative
         if not 0 <= self.cloud_intensity <= 1:
@@ -92,14 +108,16 @@ class ScenarioConfig:
     traces: TraceSources = field(default_factory=TraceSources)
 
     def __post_init__(self):
-        _check_integer("n_buildings", self.n_buildings)
-        _check_integer("seed", self.seed)
         if self.n_buildings < 1:
             raise ConfigError("n_buildings must be at least 1")
 
     @property
     def horizon_steps(self) -> int:
         return self.traces.days * SECONDS_PER_DAY // self.traces.step_seconds
+
+
+# ScenarioConfig's sections: the YAML key and the dataclass of each
+SECTIONS = {"dp": DPParams, "mpc": MPCConfig, "buildings": BuildingParams, "traces": TraceSources}
 
 
 def _sub_seed(master: int, stream: int) -> int:
@@ -143,25 +161,20 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         return dict(sec)
 
     try:
-        top_seed = overrides.get("seed", raw.get("seed", ScenarioConfig.seed))
-        _check_integer("seed", top_seed)  # before it seeds the noise stream
-        dp_kwargs = section("dp")
+        top = {key: overrides.get(key, raw.get(key, getattr(ScenarioConfig, key)))
+               for key in ("n_buildings", "seed")}
+        check_fields("", ScenarioConfig, top)  # before the seed derives the noise stream
+        sections = {name: section(name) for name in SECTIONS}
         if "epsilon" in overrides:
-            dp_kwargs["epsilon"] = overrides["epsilon"]
-        dp_kwargs.setdefault("epsilon", ScenarioConfig().dp.epsilon)
-        dp_kwargs.setdefault("seed", _sub_seed(top_seed, _STREAM_NOISE))
-        mpc_kwargs = section("mpc")
+            sections["dp"]["epsilon"] = overrides["epsilon"]
+        sections["dp"].setdefault("epsilon", ScenarioConfig().dp.epsilon)
+        sections["dp"].setdefault("seed", _sub_seed(top["seed"], _STREAM_NOISE))
         if "horizon" in overrides:
-            mpc_kwargs["horizon_np"] = overrides["horizon"]
-        n_buildings = overrides.get("n_buildings", raw.get("n_buildings", ScenarioConfig.n_buildings))
-        cfg = ScenarioConfig(
-            n_buildings=n_buildings,
-            seed=top_seed,
-            dp=DPParams(**dp_kwargs),
-            mpc=MPCConfig(**mpc_kwargs),
-            buildings=BuildingParams(**section("buildings")),
-            traces=TraceSources(**section("traces")),
-        )
+            sections["mpc"]["horizon_np"] = overrides["horizon"]
+        for name, cls in SECTIONS.items():
+            check_fields(f"{name}.", cls, sections[name])
+            sections[name] = cls(**sections[name])
+        cfg = ScenarioConfig(**top, **sections)
     except TypeError as exc:
         raise ConfigError(f"bad configuration field: {exc}") from None
     except ValueError as exc:

@@ -39,6 +39,16 @@ def drop_manifest_mpc(out):
     path.write_text(json.dumps(manifest))
 
 
+def set_manifest_mpc(key, value):
+    """Replace one entry of the manifest's mpc section; json writes NaN as NaN."""
+    def mutate(out):
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["mpc"][key] = value
+        path.write_text(json.dumps(manifest))
+    return mutate
+
+
 def truncate(name, keep_lines=None):
     """Cut a run file in half by bytes, or after `keep_lines` whole lines."""
     def mutate(out):
@@ -221,9 +231,27 @@ class TestSimulateCommand:
         ("traces:\n  cloud_intensity: 2\n", "traces.cloud_intensity"),
         ("traces:\n  cloud_intensity: -0.5\n", "traces.cloud_intensity"),
         ("traces:\n  pv_peak_kw: -5\n", "traces.pv_peak_kw"),
+        # YAML 1.1 reads an exponent without a dot as a string
+        ("buildings:\n  jitter: 1e-5\n", "buildings.jitter must be a finite number"),
+        ("traces:\n  weather_mean_c: 3e1\n", "traces.weather_mean_c must be a finite number"),
+        ("buildings:\n  p_rate: '5'\n", "buildings.p_rate must be a finite number"),
+        ("traces:\n  pv_csv: 5\n", "traces.pv_csv must be a path string or null"),
+        ("traces:\n  weather_csv: true\n", "traces.weather_csv must be a path string or null"),
+        ("dp:\n  epsilon: true\n", "dp.epsilon must be a finite number, got True"),
+        ("buildings:\n  g_temp: .nan\n", "buildings.g_temp must be a finite number, got nan"),
+        ("buildings:\n  g_solar: .inf\n", "buildings.g_solar must be a finite number, got inf"),
+        ("mpc:\n  weight_r: .inf\n", "mpc.weight_r must be a finite number, got inf"),
+        ("traces:\n  step_seconds: 0\n", "traces.step_seconds must be at least 1"),
+        ("traces:\n  step_seconds: -600\n", "traces.step_seconds must be at least 1"),
+        ("traces:\n  days: 0\n", "traces.days must be at least 1"),
+        ("dp:\n  delta: 0.0\n", "unexpected keyword argument 'delta'"),
     ], ids=["dp-seed-fraction", "dp-seed-float", "horizon-fraction", "horizon-float",
             "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
-            "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative"])
+            "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative",
+            "jitter-exponent-text", "weather-mean-exponent-text", "p-rate-string",
+            "pv-csv-int", "weather-csv-bool", "epsilon-bool", "g-temp-nan", "g-solar-inf",
+            "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
+            "dp-delta"])
     def test_bad_scenario_value_exits_one(self, tmp_path, capsys, text, field):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
@@ -356,6 +384,14 @@ class TestReportCommand:
         (set_cell("flags.csv", 4, 3, "1"), "flags.csv: target_clipped at step 3 is 1.0, expected 0"),
         (put_bad_byte("pv.csv", 10), "pv.csv: not utf-8 text: byte 0xff"),
         (put_bad_byte("pv.csv", 0), "pv.csv: not utf-8 text: byte 0xff"),
+        (set_cell("flags.csv", 4, 1, "0.5"),
+         "flags.csv: ref_unclamped_kw at step 3 is 0.5, expected pv_kw - noise_kw = "),
+        (set_manifest_mpc("comfort_min", "22.5"),
+         "manifest.json: not a run manifest: ConfigError(\"mpc.comfort_min must be a finite"),
+        (set_manifest_mpc("comfort_max", None),
+         "manifest.json: not a run manifest: ConfigError('mpc.comfort_max must be a finite"),
+        (set_manifest_mpc("comfort_min", float("nan")),
+         "manifest.json: not a run manifest: ConfigError('mpc.comfort_min must be a finite"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
@@ -365,7 +401,8 @@ class TestReportCommand:
         "results-n-on-negative", "results-n-on-above-fleet", "flags-ref-clamped-2",
         "flags-target-clipped-half", "flags-infeasible-negative",
         "flags-ref-clamped-flipped", "flags-target-clipped-flipped",
-        "pv-undecodable-cell", "pv-undecodable-header",
+        "pv-undecodable-cell", "pv-undecodable-header", "flags-ref-unclamped-edited",
+        "manifest-comfort-min-string", "manifest-comfort-max-null", "manifest-comfort-min-nan",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"

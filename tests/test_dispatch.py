@@ -856,6 +856,36 @@ class TestRecedingHorizon:
                 self._reference([1.0]), MPCConfig(), "simplex",
             )
 
+    @staticmethod
+    def _inputs():
+        cfg = ScenarioConfig(n_buildings=5, traces=TraceSources(days=1))
+        models, states, dist, pv = build_simulation(cfg)
+        noise = generate_noise_trace(cfg.dp, len(pv), pv.step_seconds)
+        return dict(models=models, init_states=states, disturbances=dist,
+                    reference=compute_net_pv(pv, noise), config=cfg.mpc,
+                    pv=pv, noise_kw=noise.values)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda k: {"disturbances": dataclasses.replace(k["disturbances"], step_seconds=300)},
+         "step sizes disagree: reference 600 s, disturbances 300 s, models [600] s, pv [600] s"),
+        (lambda k: {"reference": dataclasses.replace(k["reference"], step_seconds=60)},
+         "step sizes disagree: reference 60 s, disturbances 600 s, models [600] s, pv [600] s"),
+        (lambda k: {"models": k["models"][:4] + [dataclasses.replace(k["models"][4], dt_seconds=300)]},
+         "models [300, 600] s"),
+        (lambda k: {"pv": dataclasses.replace(k["pv"], step_seconds=300)}, "pv [300] s"),
+        (lambda k: {"noise_kw": k["noise_kw"][:10]}, "noise_kw has 10 steps, the reference 144"),
+        (lambda k: {"pv": dataclasses.replace(k["pv"], values=k["pv"].values[:-1])},
+         "pv has 143 steps, the reference 144"),
+    ], ids=["disturbances-300s", "reference-60s", "one-model-300s", "pv-300s", "noise-10-steps",
+            "pv-one-short"])
+    def test_disagreeing_inputs_rejected(self, change, message):
+        # each went through the whole loop and returned a RunReport
+        kwargs = self._inputs()
+        kwargs.update(change(kwargs))
+        with pytest.raises(ValueError) as exc:
+            receding_horizon_run(**kwargs)
+        assert message in str(exc.value)
+
 
 def rules_closed_loop(models, init_temps, dist, raw_ref, config):
     """receding_horizon_run's greedy loop by the plain rules, as RunReport's

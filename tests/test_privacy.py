@@ -23,16 +23,6 @@ class TestDPParams:
         with pytest.raises(ValueError):
             DPParams(epsilon=-1.0)
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            DPParams(epsilon=1.0, delta=1.0)
-        with pytest.raises(ValueError):
-            DPParams(epsilon=1.0, delta=-0.1)
-
-    def test_delta_slack_reporting(self):
-        assert not DPParams(epsilon=1.0).delta_is_slack
-        assert DPParams(epsilon=1.0, delta=0.1).delta_is_slack
-
 
 class TestLaplaceScale:
     def test_paper_budget(self):

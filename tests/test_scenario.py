@@ -1,11 +1,18 @@
 import dataclasses
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from dpdispatch.cli import main
 from dpdispatch.scenario import (
+    SECTIONS,
     BuildingParams,
     ConfigError,
     ScenarioConfig,
@@ -175,6 +182,79 @@ class TestConfig:
         assert d["dp"]["epsilon"] == 0.1
         assert d["mpc"]["horizon_np"] == 6
         assert d["traces"]["days"] == 3
+
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "examples_config.yaml"
+
+# the declared field types that check_fields has a rule for
+FIELD_TYPES = ("int", "float", "str | None")
+
+
+def has_declared_type(kind, value):
+    if kind == "int":
+        return type(value) is int
+    if kind == "float":
+        return type(value) in (int, float) and math.isfinite(value)
+    return value is None or type(value) is str
+
+
+class TestFieldTypes:
+    def test_every_field_has_a_rule(self):
+        # a field of any other type would bypass the check
+        assert {f.name: f.type for f in dataclasses.fields(ScenarioConfig)
+                if f.type not in FIELD_TYPES} == {
+            name: cls.__name__ for name, cls in SECTIONS.items()}
+        for cls in SECTIONS.values():
+            for f in dataclasses.fields(cls):
+                assert f.type in FIELD_TYPES, (cls.__name__, f.name, f.type)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        where=st.sampled_from([None, *SECTIONS]).flatmap(lambda section: st.tuples(
+            st.just(section),
+            st.sampled_from([f.name for f in dataclasses.fields(
+                ScenarioConfig if section is None else SECTIONS[section])
+                if f.type in FIELD_TYPES]),
+        )),
+        value=st.one_of(
+            st.integers(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.booleans(), st.none(), st.sampled_from(["1e-5", "5"]),
+            st.lists(st.integers(), max_size=2),
+        ),
+    )
+    def test_only_config_error_and_declared_types(self, where, value):
+        section, name = where
+        text = yaml.safe_dump({name: value} if section is None else {section: {name: value}})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.yaml"
+            path.write_text(text)
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+        for cls_obj in (cfg, *(getattr(cfg, sec) for sec in SECTIONS)):
+            for f in dataclasses.fields(cls_obj):
+                if f.type in FIELD_TYPES:
+                    assert has_declared_type(f.type, getattr(cls_obj, f.name)), f.name
+
+
+class TestExampleConfig:
+    """examples_config.yaml lists every recognized key at its default."""
+
+    def test_equals_the_defaults(self):
+        assert load_config(EXAMPLE_CONFIG) == load_config(None)
+
+    def test_names_every_field(self):
+        # a section runs from its top-level key to the next; a field is
+        # listed as a key or as a commented-out key
+        text = EXAMPLE_CONFIG.read_text()
+        blocks = dict(re.findall(r"^(\w+):\n((?:[ #].*\n|\n)*)", text, re.MULTILINE))
+        for f in dataclasses.fields(ScenarioConfig):
+            assert re.search(rf"^{f.name}:", text, re.MULTILINE), f.name
+        for section, cls in SECTIONS.items():
+            for f in dataclasses.fields(cls):
+                assert re.search(rf"^ +(# )?{f.name}:", blocks[section], re.MULTILINE), (
+                    section, f.name)
 
 
 class TestBuildSimulation:
