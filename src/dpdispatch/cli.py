@@ -15,30 +15,76 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from dpdispatch import metrics
-from dpdispatch.dispatch import SOLVERS, MPCConfig, SolverGuardError, receding_horizon_run
+from dpdispatch.dispatch import SOLVERS, SolverGuardError, clamp_reference, receding_horizon_run
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
-from dpdispatch.scenario import (ConfigError, ScenarioConfig, TraceSources, build_simulation,
+from dpdispatch.scenario import (ConfigError, ScenarioConfig, build_section, build_simulation,
                                  check_fields, load_config)
 from dpdispatch.traces import Trace, TraceError, read_table, save_trace, write_csv
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_GUARD = 2
 EXIT_INFEASIBLE = 3
 
-# Headers of the fixed-width per-step files; `report` reads their columns by
-# position, so it refuses a file whose header differs.
-RESULTS_HEADER = ["step", "ref_kw", "agg_kw", "residual_kw", "n_on", "violations"]
-FLAGS_HEADER = ["step", "ref_unclamped_kw", "ref_clamped", "target_clipped",
-                "must_on_kw", "free_kw", "infeasible"]
+
+class Column(NamedTuple):
+    """One per-step column of a run file, after its `step` column.
+
+    `simulate` writes `value(report, band)` under `header`. `report` reads it
+    back by header, and a column with a `text` must hold what `value` gives
+    for the run `report` rebuilds; at its first step that does not, `report`
+    says it expected `text.format(want, n_b=..., capacity=...)`.
+    """
+
+    header: str
+    value: Callable[[RunReport, tuple[float, float]], Iterable] | None
+    text: str | None = None
+
+
+# Each per-step run file's columns after `step`, in file order. `report` names
+# the first column in this order whose check fails. An edited cell of a checked
+# column fails that column's check alone, but an n_on edited to another count
+# fails agg_kw's.
+COLUMNS = {
+    "results.csv": (
+        Column("ref_kw", lambda r, band: r.reference_kw,
+               "{} from pv_kw - noise_kw clamped to [0, {capacity}]"),
+        Column("agg_kw", lambda r, band: r.aggregate_kw, "{} from n_on and buildings.p_rate"),
+        Column("residual_kw", lambda r, band: r.residual_kw, "agg_kw - ref_kw = {}"),
+        Column("n_on", lambda r, band: r.n_on, "an integer in [0, {n_b}]"),
+        Column("violations", lambda r, band: metrics.comfort_violations_per_step(r, band).tolist(),
+               "{} from temperatures.csv"),
+    ),
+    "pv.csv": (Column("pv_kw", lambda r, band: r.pv_kw),),
+    # written by save_trace, which the noise command shares
+    "noise.csv": (Column("noise_kw", None),),
+    "flags.csv": (
+        Column("ref_unclamped_kw", lambda r, band: r.unclamped_reference_kw,
+               "pv_kw - noise_kw = {}"),
+        Column("ref_clamped", lambda r, band: map(int, r.ref_clamped),
+               "{} from ref_kw and ref_unclamped_kw"),
+        Column("target_clipped", lambda r, band: map(int, r.target_clipped),
+               "{} from ref_kw, must_on_kw and free_kw"),
+        Column("must_on_kw", lambda r, band: r.must_on_kw),
+        Column("free_kw", lambda r, band: r.free_kw),
+        # infeasible_steps holds each flagged step once
+        Column("infeasible",
+               lambda r, band: np.bincount(r.infeasible_steps, minlength=r.n_steps).tolist(),
+               "0 or 1"),
+    ),
+}
+
+
+def _header(name: str) -> list[str]:
+    return ["step"] + [column.header for column in COLUMNS[name]]
 
 
 def _temperatures_header(n_buildings: int) -> list[str]:
@@ -55,7 +101,7 @@ def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
 
 
 def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
-    save_trace(noise, out / "noise.csv", "noise_kw")
+    save_trace(noise, out / "noise.csv", COLUMNS["noise.csv"][0].header)
     counts, edges = metrics.noise_histogram(noise, n_bins=40)
     centers = (edges[:-1] + edges[1:]) / 2.0
     write_csv(
@@ -85,40 +131,15 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
-    residual = report.residual_kw
     band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
-    per_step_viol = metrics.comfort_violations_per_step(report, band).tolist()
-    write_csv(
-        out / "results.csv",
-        RESULTS_HEADER,
-        [
-            (k, report.reference_kw[k], report.aggregate_kw[k], residual[k],
-             report.n_on[k], per_step_viol[k])
-            for k in range(report.n_steps)
-        ],
-    )
-    write_csv(
-        out / "pv.csv",
-        ["step", "pv_kw"],
-        [(k, v) for k, v in enumerate(report.pv_kw)],
-    )
+    for name, columns in COLUMNS.items():
+        if name != "noise.csv":
+            write_csv(out / name, _header(name), zip(
+                range(report.n_steps), *(column.value(report, band) for column in columns)))
     write_csv(
         out / "temperatures.csv",
         _temperatures_header(report.temps.shape[0]),
         ([k, *report.temps[:, k].tolist()] for k in range(report.n_steps)),
-    )
-    infeasible = set(report.infeasible_steps)
-    # each property builds its tuple anew, so read it once, not once per row
-    ref_clamped, target_clipped = report.ref_clamped, report.target_clipped
-    write_csv(
-        out / "flags.csv",
-        FLAGS_HEADER,
-        [
-            (k, report.unclamped_reference_kw[k], int(ref_clamped[k]),
-             int(target_clipped[k]), report.must_on_kw[k],
-             report.free_kw[k], int(k in infeasible))
-            for k in range(report.n_steps)
-        ],
     )
     summary = metrics.summarize(report, band=band)
     write_csv(out / "summary.csv", list(summary), [list(summary.values())])
@@ -155,48 +176,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_stored_columns(
-    out: Path, report: RunReport, results: np.ndarray, flags: np.ndarray, band: tuple
-) -> None:
-    """Refuse, naming the file and the first bad step, a stored column that
-    `report`, the RunReport of the stored measured columns, contradicts: a
-    `residual_kw`, `ref_clamped` or `target_clipped` other than `report`'s
-    own, evaluated on the stored floats (`residual_kw` was written as the
-    repr of `agg_kw - ref_kw`), a `ref_unclamped_kw` other than
-    `compute_net_pv` of the stored `pv_kw` and `noise_kw`, a `violations`
-    cell other than the per-step count over `temperatures.csv`, an `n_on`
-    that is not an integer in [0, n_b], or an `infeasible` other than 0 or 1.
-    """
-    n_b = report.temps.shape[0]
-    n_on = results[:, 4]
-    residual, clamped, clipped = report.residual_kw, report.ref_clamped, report.target_clipped
-    net = compute_net_pv(*(Trace(values=v, unit="kW", step_seconds=report.step_seconds)
-                           for v in (report.pv_kw, report.noise_kw))).values
-    violations = metrics.comfort_violations_per_step(report, band)
-    checks = [
-        ("results.csv", "residual_kw", results[:, 3], results[:, 3] != residual,
-         lambda k: f"agg_kw - ref_kw = {residual[k]}"),
-        ("results.csv", "n_on", n_on, (n_on != n_on.round()) | (n_on < 0) | (n_on > n_b),
-         lambda k: f"an integer in [0, {n_b}]"),
-        ("results.csv", "violations", results[:, 5], results[:, 5] != violations,
-         lambda k: f"{violations[k]} from temperatures.csv"),
-        ("flags.csv", "ref_unclamped_kw", flags[:, 1], flags[:, 1] != net,
-         lambda k: f"pv_kw - noise_kw = {net[k]}"),
-        ("flags.csv", "ref_clamped", flags[:, 2], flags[:, 2] != clamped,
-         lambda k: f"{int(clamped[k])} from ref_kw and ref_unclamped_kw"),
-        ("flags.csv", "target_clipped", flags[:, 3], flags[:, 3] != clipped,
-         lambda k: f"{int(clipped[k])} from ref_kw, must_on_kw and free_kw"),
-        ("flags.csv", "infeasible", flags[:, 6], (flags[:, 6] != 0) & (flags[:, 6] != 1),
-         lambda k: "0 or 1"),
-    ]
-    for name, column, stored, bad, expected in checks:
-        if bad.any():
-            k = int(bad.argmax())
-            raise TraceError(
-                f"{out / name}: {column} at step {k} is {stored[k]}, expected {expected(k)}"
-            )
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not out.is_dir():
@@ -208,40 +187,46 @@ def cmd_report(args: argparse.Namespace) -> int:
         config = json.loads(manifest_path.read_text())["config"]
         n_b = config["n_buildings"]
         check_fields("", ScenarioConfig, {"n_buildings": n_b})
-        check_fields("mpc.", MPCConfig, config["mpc"])
-        check_fields("traces.", TraceSources, config["traces"])
-        mpc, traces = MPCConfig(**config["mpc"]), TraceSources(**config["traces"])
-        temp_header = _temperatures_header(n_b)
+        mpc, buildings, traces = (build_section(name, config[name])
+                                  for name in ("mpc", "buildings", "traces"))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest: {exc!r}") from None
 
-    _, results = read_table(out / "results.csv", RESULTS_HEADER)
-    _, pv = read_table(out / "pv.csv", ["step", "pv_kw"])
-    _, noise = read_table(out / "noise.csv", ["step", "noise_kw"])
-    _, temps = read_table(out / "temperatures.csv", temp_header)
-    _, flags = read_table(out / "flags.csv", FLAGS_HEADER)
-    for name, table in (("pv.csv", pv), ("noise.csv", noise), ("temperatures.csv", temps),
-                        ("flags.csv", flags)):
-        if len(table) != len(results):
-            raise TraceError(
-                f"{out / name}: {len(table)} data rows, results.csv has {len(results)}"
-            )
+    tables = {}
+    for name in [*COLUMNS, "temperatures.csv"]:
+        header = _header(name) if name in COLUMNS else _temperatures_header(n_b)
+        _, tables[name] = read_table(out / name, header)
+        if len(tables[name]) != len(tables["results.csv"]):
+            raise TraceError(f"{out / name}: {len(tables[name])} data rows, "
+                             f"results.csv has {len(tables['results.csv'])}")
+    stored = {column.header: tuple(tables[name][:, i].tolist())
+              for name, columns in COLUMNS.items() for i, column in enumerate(columns, start=1)}
 
-    band = (mpc.comfort_min, mpc.comfort_max)
+    # the fleet's draw with n units ON, for n = 0..n_b: the left fold of n ratings
+    draws = dict(enumerate(accumulate([buildings.p_rate] * n_b, initial=0.0)))
+    net = compute_net_pv(*(Trace(values=stored[header], unit="kW", step_seconds=traces.step_seconds)
+                           for header in ("pv_kw", "noise_kw"))).values
+    # NaN, which equals no stored value, where n_on is no count of units
+    n_on = [n if n in draws else np.nan for n in stored["n_on"]]
     report = RunReport(
-        step_seconds=traces.step_seconds,
-        pv_kw=tuple(pv[:, 1].tolist()),
-        noise_kw=tuple(noise[:, 1].tolist()),
-        reference_kw=tuple(results[:, 1].tolist()),
-        unclamped_reference_kw=tuple(flags[:, 1].tolist()),
-        aggregate_kw=tuple(results[:, 2].tolist()),
-        temps=temps[:, 1:].T,
-        n_on=tuple(results[:, 4].astype(int).tolist()),
-        must_on_kw=tuple(flags[:, 4].tolist()),
-        free_kw=tuple(flags[:, 5].tolist()),
-        infeasible_steps=tuple(flags[flags[:, 6] != 0, 0].astype(int).tolist()),
+        step_seconds=traces.step_seconds, temps=tables["temperatures.csv"][:, 1:].T,
+        pv_kw=stored["pv_kw"], noise_kw=stored["noise_kw"],
+        must_on_kw=stored["must_on_kw"], free_kw=stored["free_kw"],
+        infeasible_steps=tuple(np.flatnonzero(stored["infeasible"]).tolist()),
+        # the reference and the draw as the closed loop derives them
+        unclamped_reference_kw=net, reference_kw=tuple(clamp_reference(net, draws[n_b])),
+        n_on=tuple(n_on), aggregate_kw=tuple(draws.get(n, a) for n, a in zip(n_on, stored["agg_kw"])),
     )
-    _check_stored_columns(out, report, results, flags, band)
+    band = (mpc.comfort_min, mpc.comfort_max)
+    for name, columns in COLUMNS.items():
+        for column in columns:
+            if column.text is not None:
+                have, want = np.array(stored[column.header]), list(column.value(report, band))
+                bad = have != want
+                if bad.any():
+                    k = int(bad.argmax())
+                    raise TraceError(f"{out / name}: {column.header} at step {k} is {have[k]}, expected "
+                                     + column.text.format(want[k], n_b=n_b, capacity=draws[n_b]))
     summary = metrics.summarize(report, band=band)
     write_csv(out / "summary.csv", list(summary), [list(summary.values())])
     print(
@@ -267,24 +252,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_solver=False):
+    def common(p):
         p.add_argument("--config", type=str, default=None, help="YAML scenario configuration")
         p.add_argument("--out", type=str, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--epsilon", type=float, default=None, help="privacy budget override")
-        p.add_argument("--horizon", type=int, default=None, help="MPC prediction horizon override")
-        p.add_argument("--n-buildings", dest="n_buildings", type=int, default=None)
-        if with_solver:
-            p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
-            p.add_argument("--strict", action="store_true",
-                           help="exit 3 when comfort infeasibility is flagged")
 
     p_noise = sub.add_parser("noise", help="generate the privacy noise artifacts")
     common(p_noise)
     p_noise.set_defaults(func=cmd_noise)
 
     p_sim = sub.add_parser("simulate", help="run the full closed-loop pipeline")
-    common(p_sim, with_solver=True)
+    common(p_sim)
+    p_sim.add_argument("--horizon", type=int, default=None, help="MPC prediction horizon override")
+    p_sim.add_argument("--n-buildings", dest="n_buildings", type=int, default=None)
+    p_sim.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
+    p_sim.add_argument("--strict", action="store_true",
+                       help="exit 3 when comfort infeasibility is flagged")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="regenerate summary.csv from a run directory")

@@ -546,6 +546,11 @@ SOLVERS = {
 }
 
 
+def clamp_reference(raw: Sequence[float], capacity: float) -> list[float]:
+    """Each step of `raw` clamped to [0, capacity], the fleet's draw range."""
+    return [min(max(r, 0.0), capacity) for r in raw]
+
+
 def receding_horizon_run(
     models: Sequence[DiscreteThermalModel],
     init_states: Sequence[BuildingState],
@@ -586,9 +591,8 @@ def receding_horizon_run(
 
     p_rates = [m.p_rate for m in models]
     rate = p_rates.__getitem__
-    capacity = _left_sum(p_rates)
     raw_ref = reference.values
-    clamped = [min(max(r, 0.0), capacity) for r in raw_ref]
+    clamped = clamp_reference(raw_ref, _left_sum(p_rates))
 
     temps_hist = np.empty((n_b, n_steps))
     agg, n_on = [], []

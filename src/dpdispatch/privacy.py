@@ -36,7 +36,7 @@ class DPParams:
         if not (self.sensitivity > 0 and math.isfinite(self.sensitivity)):
             raise ValueError("sensitivity must be positive and finite")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise ValueError("dp.seed must be a 64-bit unsigned integer")
 
 
 def laplace_scale(params: DPParams) -> float:

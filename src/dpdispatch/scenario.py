@@ -126,6 +126,12 @@ def _sub_seed(master: int, stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def build_section(name: str, values: dict[str, Any]) -> Any:
+    """Section `name` of SECTIONS from `values`, each field checked by check_fields first."""
+    check_fields(f"{name}.", SECTIONS[name], values)
+    return SECTIONS[name](**values)
+
+
 # child-stream indices off the master seed
 _STREAM_NOISE = 0
 _STREAM_PV = 1
@@ -151,6 +157,10 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
             loaded = {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
+        known = ["n_buildings", "seed", *SECTIONS]
+        for key in loaded:
+            if key not in known:
+                raise ConfigError(f"{path}: unknown key {key!r}; known keys: {', '.join(known)}")
         raw = loaded
     overrides = overrides or {}
 
@@ -164,6 +174,8 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         top = {key: overrides.get(key, raw.get(key, getattr(ScenarioConfig, key)))
                for key in ("n_buildings", "seed")}
         check_fields("", ScenarioConfig, top)  # before the seed derives the noise stream
+        if top["seed"] < 0:
+            raise ConfigError(f"seed must be nonnegative, got {top['seed']}")
         sections = {name: section(name) for name in SECTIONS}
         if "epsilon" in overrides:
             sections["dp"]["epsilon"] = overrides["epsilon"]
@@ -171,10 +183,8 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         sections["dp"].setdefault("seed", _sub_seed(top["seed"], _STREAM_NOISE))
         if "horizon" in overrides:
             sections["mpc"]["horizon_np"] = overrides["horizon"]
-        for name, cls in SECTIONS.items():
-            check_fields(f"{name}.", cls, sections[name])
-            sections[name] = cls(**sections[name])
-        cfg = ScenarioConfig(**top, **sections)
+        cfg = ScenarioConfig(**top, **{name: build_section(name, values)
+                                       for name, values in sections.items()})
     except TypeError as exc:
         raise ConfigError(f"bad configuration field: {exc}") from None
     except ValueError as exc:

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from dpdispatch.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _emit_run_files, main
+from dpdispatch.cli import COLUMNS, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _emit_run_files, main
 from dpdispatch.metrics import RunReport
 from dpdispatch.scenario import ScenarioConfig
 
@@ -97,6 +97,18 @@ def set_cell(name, line_no, col, value):
     return edit_line(name, line_no, edit)
 
 
+def shift_with_residual(line_no, col, delta):
+    """Add `delta` to results.csv's ref_kw (col 1) or agg_kw (col 2) cell on a
+    line and rewrite that line's residual_kw as agg_kw - ref_kw, so the
+    residual check still holds."""
+    def edit(line):
+        cells = line.rstrip("\r\n").split(",")
+        cells[col] = repr(float(cells[col]) + delta)
+        cells[3] = repr(float(cells[2]) - float(cells[1]))
+        return ",".join(cells) + "\n"
+    return edit_line("results.csv", line_no, edit)
+
+
 class TestNoiseCommand:
     def test_writes_432_row_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -115,6 +127,12 @@ class TestNoiseCommand:
         # same seed, scale shrinks from 10 to 1
         for x, y in zip(va, vb):
             assert y == pytest.approx(x / 10.0, rel=1e-12)
+
+    # flags that set only what simulate uses are usage errors, not ignored
+    @pytest.mark.parametrize("flag", ["--horizon", "--n-buildings"])
+    def test_simulate_flags_are_refused(self, tmp_path, flag):
+        assert main(["noise", "--out", str(tmp_path / "r"), flag, "3"]) == EXIT_CONFIG
+        assert not (tmp_path / "r").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -161,6 +179,13 @@ class TestSimulateCommand:
         assert rc == EXIT_GUARD
         err = capsys.readouterr().err
         assert "guard" in err and "1x20" in err and "2097150" in err
+
+    def test_per_step_headers_are_the_table(self, tmp_path):
+        out = tmp_path / "run"
+        main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])
+        for name in ("results.csv", "pv.csv", "noise.csv", "flags.csv"):
+            with open(out / name, newline="") as fh:
+                assert next(csv.reader(fh)) == ["step"] + [c.header for c in COLUMNS[name]]
 
     def test_tree_has_no_byte_copies(self, tmp_path):
         out = tmp_path / "run"
@@ -245,13 +270,17 @@ class TestSimulateCommand:
         ("traces:\n  step_seconds: -600\n", "traces.step_seconds must be at least 1"),
         ("traces:\n  days: 0\n", "traces.days must be at least 1"),
         ("dp:\n  delta: 0.0\n", "unexpected keyword argument 'delta'"),
+        ("n_building: 5\nmcp:\n  horizon_np: 2\n",
+         "unknown key 'n_building'; known keys: n_buildings, seed, dp, mpc, buildings, traces"),
+        ("seed: -1\n", "error: seed must be nonnegative, got -1"),
+        ("dp:\n  seed: -1\n", "error: dp.seed must be a 64-bit unsigned integer"),
     ], ids=["dp-seed-fraction", "dp-seed-float", "horizon-fraction", "horizon-float",
             "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
             "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative",
             "jitter-exponent-text", "weather-mean-exponent-text", "p-rate-string",
             "pv-csv-int", "weather-csv-bool", "epsilon-bool", "g-temp-nan", "g-solar-inf",
             "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
-            "dp-delta"])
+            "dp-delta", "unknown-top-level-keys", "seed-negative", "dp-seed-negative"])
     def test_bad_scenario_value_exits_one(self, tmp_path, capsys, text, field):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
@@ -392,6 +421,9 @@ class TestReportCommand:
          "manifest.json: not a run manifest: ConfigError('mpc.comfort_max must be a finite"),
         (set_manifest_mpc("comfort_min", float("nan")),
          "manifest.json: not a run manifest: ConfigError('mpc.comfort_min must be a finite"),
+        # step 8 is clamped to 0; the edits keep residual_kw = agg_kw - ref_kw
+        (shift_with_residual(9, 1, 1.0), "results.csv: ref_kw at step 8 is 1.0, expected 0.0 from"),
+        (shift_with_residual(10, 2, 2.0), "results.csv: agg_kw at step 9 is 12.0, expected 10.0 from"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
@@ -403,6 +435,7 @@ class TestReportCommand:
         "flags-ref-clamped-flipped", "flags-target-clipped-flipped",
         "pv-undecodable-cell", "pv-undecodable-header", "flags-ref-unclamped-edited",
         "manifest-comfort-min-string", "manifest-comfort-max-null", "manifest-comfort-min-nan",
+        "results-ref-kw-edited", "results-agg-kw-edited",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"
@@ -411,6 +444,20 @@ class TestReportCommand:
         rc = main(["report", "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    # every column the table checks, one parametrized case each
+    @pytest.mark.parametrize("name, header", [
+        (name, c.header) for name, columns in COLUMNS.items() for c in columns if c.text is not None
+    ])
+    def test_checked_column_edit_named(self, tmp_path, capsys, name, header):
+        out = tmp_path / "run"
+        main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col, step = rows[0].index(header), 5
+        set_cell(name, step + 1, col, repr(float(rows[step + 1][col]) + 0.5))(out)
+        assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+        assert f"{name}: {header} at step {step} is " in capsys.readouterr().err
 
     # (solver, n_buildings, horizon); exact at 12 binaries or fewer
     @settings(max_examples=40, deadline=None)
