@@ -84,13 +84,14 @@ class MPCConfig:
 
     def __post_init__(self):
         if self.horizon_np < 1:
-            raise ValueError("horizon_np must be at least 1")
-        if self.weight_q < 0 or self.weight_r < 0:
-            raise ValueError("weights must be nonnegative")
+            raise ValueError(f"mpc.horizon_np must be at least 1, got {self.horizon_np}")
+        for name, value in (("weight_q", self.weight_q), ("weight_r", self.weight_r)):
+            if value < 0:
+                raise ValueError(f"mpc.{name} must be nonnegative, got {value}")
         if not (self.comfort_min < self.comfort_max):
-            raise ValueError("comfort_min must be below comfort_max")
+            raise ValueError("mpc.comfort_min must be below mpc.comfort_max")
         if not (self.comfort_min <= self.setpoint_xr <= self.comfort_max):
-            raise ValueError("setpoint must lie inside the comfort band")
+            raise ValueError("mpc.setpoint_xr must lie inside the comfort band")
 
 
 @dataclass(frozen=True)

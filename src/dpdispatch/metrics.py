@@ -74,18 +74,14 @@ def max_abs_residual(report: RunReport) -> float:
     return float(np.max(np.abs(report.residual_kw)))
 
 
-def comfort_violations_per_step(
-    report: RunReport, band: tuple[float, float] = (22.5, 23.5)
-) -> np.ndarray:
+def comfort_violations_per_step(report: RunReport, band: tuple[float, float]) -> np.ndarray:
     """Per step, the number of buildings outside the closed band by > 1e-9 degC."""
     lo, hi = band
     temps = report.temps
     return np.count_nonzero((temps < lo - COMFORT_TOL) | (temps > hi + COMFORT_TOL), axis=0)
 
 
-def comfort_violation_count(
-    report: RunReport, band: tuple[float, float] = (22.5, 23.5)
-) -> int:
+def comfort_violation_count(report: RunReport, band: tuple[float, float]) -> int:
     """Number of (building, step) samples outside the closed band by > 1e-9 degC."""
     return int(comfort_violations_per_step(report, band).sum())
 
@@ -136,7 +132,7 @@ def residual_vs_intended_noise(report: RunReport) -> dict:
     }
 
 
-def summarize(report: RunReport, band: tuple[float, float] = (22.5, 23.5)) -> dict:
+def summarize(report: RunReport, band: tuple[float, float]) -> dict:
     """Single-row summary used by the CLI and the report command."""
     div = residual_vs_intended_noise(report)
     return {

@@ -26,15 +26,14 @@ _RATIO_SLACK = 1e-12
 class DPParams:
     """Privacy budget, sensitivity, and the RNG seed that fixes the noise."""
 
-    epsilon: float
+    epsilon: float = 0.1
     sensitivity: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
-        if not (self.sensitivity > 0 and math.isfinite(self.sensitivity)):
-            raise ValueError("sensitivity must be positive and finite")
+        for name, value in (("epsilon", self.epsilon), ("sensitivity", self.sensitivity)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"dp.{name} must be positive and finite, got {value}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("dp.seed must be a 64-bit unsigned integer")
 

@@ -63,14 +63,18 @@ class BuildingParams:
     g_temp: float = 0.5  # 1/h; equals -a so the OFF fixed point is T_out
     g_solar: float = 0.2  # degC/h per kW/m2
     p_rate: float = 5.0  # kW
-    jitter: float = 0.0  # relative spread applied per building when > 0
+    jitter: float = 0.0  # relative spread of a, b, g_temp and g_solar per building
 
     def __post_init__(self):
+        if self.a > 0:
+            raise ConfigError(f"buildings.a must not be positive (decay toward ambient), got {self.a}")
         # classify_step assumes ON cools; a jitter of 1 could zero a and b
         if not self.b < 0:
             raise ConfigError(f"buildings.b must be negative (ON cools), got {self.b}")
         if not 0 <= self.jitter < 1:
             raise ConfigError(f"buildings.jitter must lie in [0, 1), got {self.jitter}")
+        if not self.p_rate > 0:
+            raise ConfigError(f"buildings.p_rate must be positive, got {self.p_rate}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class TraceSources:
 class ScenarioConfig:
     n_buildings: int = 100
     seed: int = 20260826
-    dp: DPParams = field(default_factory=lambda: DPParams(epsilon=0.1))
+    dp: DPParams = field(default_factory=DPParams)
     mpc: MPCConfig = field(default_factory=MPCConfig)
     buildings: BuildingParams = field(default_factory=BuildingParams)
     traces: TraceSources = field(default_factory=TraceSources)
@@ -122,6 +126,8 @@ SECTIONS = {"dp": DPParams, "mpc": MPCConfig, "buildings": BuildingParams, "trac
 
 def _sub_seed(master: int, stream: int) -> int:
     """Stable per-purpose child seed from the master seed."""
+    if master < 0:
+        raise ConfigError(f"seed must be nonnegative, got {master}")
     ss = np.random.SeedSequence(entropy=master, spawn_key=(stream,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -174,12 +180,9 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         top = {key: overrides.get(key, raw.get(key, getattr(ScenarioConfig, key)))
                for key in ("n_buildings", "seed")}
         check_fields("", ScenarioConfig, top)  # before the seed derives the noise stream
-        if top["seed"] < 0:
-            raise ConfigError(f"seed must be nonnegative, got {top['seed']}")
         sections = {name: section(name) for name in SECTIONS}
         if "epsilon" in overrides:
             sections["dp"]["epsilon"] = overrides["epsilon"]
-        sections["dp"].setdefault("epsilon", ScenarioConfig().dp.epsilon)
         sections["dp"].setdefault("seed", _sub_seed(top["seed"], _STREAM_NOISE))
         if "horizon" in overrides:
             sections["mpc"]["horizon_np"] = overrides["horizon"]
@@ -286,24 +289,17 @@ def build_simulation(
         t_out=t_out.values, q_solar=q_solar_vals, step_seconds=tr.step_seconds
     )
 
+    # one vector draw per stream, as Python floats: numpy scalars would make
+    # every model coefficient an np.float64 and the closed loop slower
+    n = config.n_buildings
+    jitter_draws = np.random.default_rng(_sub_seed(config.seed, _STREAM_JITTER)).random(n).tolist()
+    init_draws = np.random.default_rng(_sub_seed(config.seed, _STREAM_INIT)).random(n).tolist()
     bp = config.buildings
-    jitter_rng = np.random.Generator(np.random.PCG64(_sub_seed(config.seed, _STREAM_JITTER)))
-    models: list[DiscreteThermalModel] = []
-    for _ in range(config.n_buildings):
-        scale = 1.0 + bp.jitter * (2.0 * jitter_rng.random() - 1.0) if bp.jitter > 0 else 1.0
-        cont = ContinuousThermalModel(
-            a=bp.a * scale,
-            b=bp.b * scale,
-            g_temp=bp.g_temp * scale,
-            g_solar=bp.g_solar * scale,
-            p_rate=bp.p_rate,
-        )
-        models.append(discretize(cont, tr.step_seconds))
-
-    init_rng = np.random.Generator(np.random.PCG64(_sub_seed(config.seed, _STREAM_INIT)))
+    # a jitter of 0 scales by exactly 1.0
+    scales = [1.0 + bp.jitter * (2.0 * r - 1.0) for r in jitter_draws]
+    models = [discretize(ContinuousThermalModel(
+        a=bp.a * s, b=bp.b * s, g_temp=bp.g_temp * s, g_solar=bp.g_solar * s, p_rate=bp.p_rate,
+    ), tr.step_seconds) for s in scales]
     lo, hi = config.mpc.comfort_min, config.mpc.comfort_max
-    init_states = [
-        BuildingState(temp=lo + (hi - lo) * init_rng.random())
-        for _ in range(config.n_buildings)
-    ]
+    init_states = [BuildingState(temp=lo + (hi - lo) * r) for r in init_draws]
     return models, init_states, disturbances, pv

@@ -274,13 +274,25 @@ class TestSimulateCommand:
          "unknown key 'n_building'; known keys: n_buildings, seed, dp, mpc, buildings, traces"),
         ("seed: -1\n", "error: seed must be nonnegative, got -1"),
         ("dp:\n  seed: -1\n", "error: dp.seed must be a 64-bit unsigned integer"),
+        # range rules, each naming its section's field
+        ("buildings:\n  a: 0.5\n", "error: buildings.a must not be positive"),
+        ("buildings:\n  p_rate: 0\n", "error: buildings.p_rate must be positive, got 0"),
+        ("dp:\n  epsilon: 0\n", "error: dp.epsilon must be positive and finite, got 0"),
+        ("dp:\n  sensitivity: -1.0\n", "error: dp.sensitivity must be positive and finite"),
+        ("mpc:\n  horizon_np: 0\n", "error: mpc.horizon_np must be at least 1, got 0"),
+        ("mpc:\n  weight_q: -1\n", "error: mpc.weight_q must be nonnegative, got -1"),
+        ("mpc:\n  weight_r: -1\n", "error: mpc.weight_r must be nonnegative, got -1"),
+        ("mpc:\n  comfort_min: 24.0\n", "error: mpc.comfort_min must be below mpc.comfort_max"),
+        ("mpc:\n  setpoint_xr: 25.0\n", "error: mpc.setpoint_xr must lie inside the comfort band"),
     ], ids=["dp-seed-fraction", "dp-seed-float", "horizon-fraction", "horizon-float",
             "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
             "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative",
             "jitter-exponent-text", "weather-mean-exponent-text", "p-rate-string",
             "pv-csv-int", "weather-csv-bool", "epsilon-bool", "g-temp-nan", "g-solar-inf",
             "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
-            "dp-delta", "unknown-top-level-keys", "seed-negative", "dp-seed-negative"])
+            "dp-delta", "unknown-top-level-keys", "seed-negative", "dp-seed-negative",
+            "a-positive", "p-rate-zero", "epsilon-zero", "sensitivity-negative", "horizon-zero",
+            "weight-q-negative", "weight-r-negative", "comfort-band-empty", "setpoint-outside-band"])
     def test_bad_scenario_value_exits_one(self, tmp_path, capsys, text, field):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)

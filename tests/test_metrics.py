@@ -14,6 +14,8 @@ from dpdispatch.metrics import (
 from dpdispatch.privacy import DPParams, generate_noise_trace
 from dpdispatch.traces import Trace
 
+BAND = (22.5, 23.5)
+
 
 def make_report(reference, aggregate, temps=None, pv=None, noise=None):
     n = len(reference)
@@ -57,20 +59,20 @@ class TestTrackingRmse:
 class TestComfortViolations:
     def test_all_in_band(self):
         report = make_report([0.0], [0.0], temps=[[23.0], [22.7]])
-        assert comfort_violation_count(report) == 0
+        assert comfort_violation_count(report, BAND) == 0
 
     def test_single_violation(self):
         report = make_report([0.0], [0.0], temps=[[23.6], [23.0]])
-        assert comfort_violation_count(report) == 1
+        assert comfort_violation_count(report, BAND) == 1
 
     def test_boundary_is_closed(self):
         report = make_report([0.0], [0.0], temps=[[23.5], [22.5]])
-        assert comfort_violation_count(report) == 0
+        assert comfort_violation_count(report, BAND) == 0
 
     def test_counts_pairs(self):
         report = make_report([0.0, 0.0], [0.0, 0.0], temps=[[23.6, 23.7], [21.0, 23.0]])
-        assert comfort_violation_count(report) == 3
-        assert comfort_violations_per_step(report).tolist() == [2, 1]
+        assert comfort_violation_count(report, BAND) == 3
+        assert comfort_violations_per_step(report, BAND).tolist() == [2, 1]
 
 
 class TestNoiseHistogram:
@@ -137,7 +139,7 @@ class TestResidualVsIntendedNoise:
 
     def test_summary_fields(self):
         report = make_report([1.0, 2.0], [1.0, 2.0])
-        s = summarize(report)
+        s = summarize(report, BAND)
         assert s["steps"] == 2
         assert s["tracking_rmse_kw"] == 0.0
         assert s["comfort_violations"] == 0

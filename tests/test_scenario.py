@@ -22,6 +22,7 @@ from dpdispatch.scenario import (
     synth_pv,
     synth_weather,
 )
+from dpdispatch.thermal import ContinuousThermalModel, discretize
 from dpdispatch.traces import Trace, TraceError, load_trace, save_trace
 
 
@@ -268,6 +269,26 @@ class TestBuildSimulation:
     def test_identical_fleet_without_jitter(self):
         models, _, _, _ = build_simulation(ScenarioConfig(n_buildings=5))
         assert all(m == models[0] for m in models)
+
+    def test_unjittered_fleet_is_the_nominal_model(self):
+        bp = BuildingParams()
+        nominal = discretize(ContinuousThermalModel(
+            a=bp.a, b=bp.b, g_temp=bp.g_temp, g_solar=bp.g_solar, p_rate=bp.p_rate))
+        models, _, _, _ = build_simulation(ScenarioConfig(n_buildings=5))
+        assert models == [nominal] * 5
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    def test_draws_are_python_floats(self, jitter):
+        # np.float64 coefficients make every predict_temp call several times slower
+        cfg = ScenarioConfig(n_buildings=5, buildings=BuildingParams(jitter=jitter))
+        models, states, _, _ = build_simulation(cfg)
+        values = [getattr(m, f.name) for m in models for f in dataclasses.fields(m)
+                  if f.name != "dt_seconds"]
+        assert {type(v) for v in values + [s.temp for s in states]} == {float}
+
+    def test_negative_seed_names_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+            build_simulation(ScenarioConfig(seed=-1))
 
     def test_jitter_varies_fleet(self):
         cfg = ScenarioConfig(n_buildings=5, buildings=BuildingParams(jitter=0.1))
