@@ -100,21 +100,25 @@ def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     }
 
 
+def _build_run(cfg: ScenarioConfig) -> tuple:
+    """A run's inputs: build_simulation's four, then the noise, one value per PV step."""
+    *scenario, pv = build_simulation(cfg)
+    return *scenario, pv, generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
+
+
 def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)  # only once the run's inputs are built
     save_trace(noise, out / "noise.csv", COLUMNS["noise.csv"][0].header)
     counts, edges = metrics.noise_histogram(noise, n_bins=40)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    write_csv(
-        out / "noise_histogram.csv",
-        ["bin_center", "count"],
-        [(repr(float(c)), int(n)) for c, n in zip(centers, counts)],
-    )
+    write_csv(out / "noise_histogram.csv", ["bin_center", "count"],
+              zip(centers.tolist(), counts.tolist()))
     moments = metrics.noise_moment_check(noise, cfg.dp)
     write_csv(
         out / "noise_moments.csv",
         ["n", "mean", "variance", "expected_variance"],
         [[moments["n"], moments["mean"],
-          moments["variance"] if moments["variance_defined"] else "undefined",
+          "undefined" if moments["variance"] is None else moments["variance"],
           moments["expected_variance"]]],
     )
 
@@ -122,8 +126,7 @@ def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
 def cmd_noise(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    noise = generate_noise_trace(cfg.dp, cfg.horizon_steps, cfg.traces.step_seconds)
+    *_, noise = _build_run(cfg)
     _emit_noise_files(noise, cfg, out)
     (out / "manifest.json").write_text(json.dumps(_manifest(cfg, args), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(noise)}-step noise trace to {out / 'noise.csv'}")
@@ -149,10 +152,7 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    models, init_states, disturbances, pv = build_simulation(cfg)
-    noise = generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
+    models, init_states, disturbances, pv, noise = _build_run(cfg)
     net = compute_net_pv(pv, noise)
 
     report = receding_horizon_run(

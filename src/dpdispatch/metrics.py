@@ -104,14 +104,12 @@ def noise_moment_check(noise: Trace, params: DPParams) -> dict:
     """Sample mean/variance next to the analytic Laplace variance 2 lambda^2."""
     values = np.asarray(noise.values)
     scale = laplace_scale(params)
-    out = {
+    return {
         "n": int(values.size),
         "mean": float(values.mean()),
         "variance": float(values.var(ddof=1)) if values.size > 1 else None,
         "expected_variance": 2.0 * scale**2,
-        "variance_defined": values.size > 1,
     }
-    return out
 
 
 def residual_vs_intended_noise(report: RunReport) -> dict:

@@ -24,17 +24,17 @@ _RATIO_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DPParams:
-    """Privacy budget, sensitivity, and the RNG seed that fixes the noise."""
+    """Privacy budget, sensitivity, and the noise's RNG seed (None: ScenarioConfig derives it)."""
 
     epsilon: float = 0.1
     sensitivity: float = 1.0
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self):
         for name, value in (("epsilon", self.epsilon), ("sensitivity", self.sensitivity)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"dp.{name} must be positive and finite, got {value}")
-        if not (0 <= self.seed < 2**64):
+        if self.seed is not None and not (0 <= self.seed < 2**64):
             raise ValueError("dp.seed must be a 64-bit unsigned integer")
 
 
@@ -56,6 +56,8 @@ def generate_noise_trace(params: DPParams, length: int, step_seconds: int = 600)
     """i.i.d. Laplace(sensitivity/epsilon) draws in kW, one per step, from params.seed."""
     if length < 1:
         raise ValueError("length must be at least 1")
+    if params.seed is None:
+        raise ValueError("dp.seed is unset; a ScenarioConfig derives it from its master seed")
     rng = np.random.Generator(np.random.PCG64(params.seed))
     values = _inverse_cdf(rng.random(length), laplace_scale(params))
     return Trace(values=tuple(values.tolist()), unit="kW", step_seconds=step_seconds)

@@ -39,21 +39,24 @@ class ConfigError(ValueError):
 def check_fields(prefix: str, cls: type, values: dict[str, Any]) -> None:
     """Refuse, naming `prefix + field`, a value the field's declared type in
     `cls` does not allow: `int` an integer (a YAML 2.0 is not truncated),
-    `float` a number finite as a float, `str | None` a string or null; a
-    bool is not a number. Undeclared names are left to the constructor."""
+    `float` a number finite as a float, `str` a string, `X | None` null or an
+    `X`; a bool is not a number. Undeclared names are left to the constructor."""
     if not isinstance(values, dict):
         raise ConfigError(f"{prefix.rstrip('.')} must be a mapping, got {values!r}")
     declared = {f.name: f.type for f in dataclasses.fields(cls)}
     for name, value in values.items():
-        kind = declared.get(name)
+        kind, nullable, _ = declared.get(name, "").partition(" | None")
+        if nullable and value is None:
+            continue
+        null = " or null" if nullable else ""
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if kind == "int" and not (number and isinstance(value, numbers.Integral)):
-            raise ConfigError(f"{prefix}{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{prefix}{name} must be an integer{null}, got {value!r}")
         if kind == "float" and not (number and abs(value) <= sys.float_info.max):
             hint = " (in YAML, write 1.0e-5, not 1e-5)" if isinstance(value, str) else ""
-            raise ConfigError(f"{prefix}{name} must be a finite number, got {value!r}{hint}")
-        if kind == "str | None" and not (value is None or isinstance(value, str)):
-            raise ConfigError(f"{prefix}{name} must be a path string or null, got {value!r}")
+            raise ConfigError(f"{prefix}{name} must be a finite number{null}, got {value!r}{hint}")
+        if kind == "str" and not isinstance(value, str):
+            raise ConfigError(f"{prefix}{name} must be a path string{null}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,9 @@ class TraceSources:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario; an unset `dp.seed` is derived from `seed` when the config is
+    built, so `dataclasses.replace(cfg, seed=s)` keeps cfg's noise seed."""
+
     n_buildings: int = 100
     seed: int = 20260826
     dp: DPParams = field(default_factory=DPParams)
@@ -114,6 +120,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_buildings < 1:
             raise ConfigError("n_buildings must be at least 1")
+        if self.dp.seed is None:
+            noise_seed = _sub_seed(self.seed, _STREAM_NOISE)
+            object.__setattr__(self, "dp", dataclasses.replace(self.dp, seed=noise_seed))
 
     @property
     def horizon_steps(self) -> int:
@@ -179,11 +188,10 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
     try:
         top = {key: overrides.get(key, raw.get(key, getattr(ScenarioConfig, key)))
                for key in ("n_buildings", "seed")}
-        check_fields("", ScenarioConfig, top)  # before the seed derives the noise stream
+        check_fields("", ScenarioConfig, top)  # before ScenarioConfig derives the noise seed
         sections = {name: section(name) for name in SECTIONS}
         if "epsilon" in overrides:
             sections["dp"]["epsilon"] = overrides["epsilon"]
-        sections["dp"].setdefault("seed", _sub_seed(top["seed"], _STREAM_NOISE))
         if "horizon" in overrides:
             sections["mpc"]["horizon_np"] = overrides["horizon"]
         cfg = ScenarioConfig(**top, **{name: build_section(name, values)
@@ -220,7 +228,7 @@ def synth_pv(
     raw = rng.random(n)
     # short moving average keeps cloud cover from flickering step to step
     kernel = np.ones(5) / 5.0
-    smooth = np.convolve(raw, kernel, mode="same")
+    smooth = np.convolve(raw, kernel)[2 : 2 + n]  # mode="same", but n values when n < 5
     factor = 1.0 - cloud_intensity * np.clip(smooth, 0.0, 1.0)
     return Trace(values=tuple((clear * factor).tolist()), unit="kW", step_seconds=step_seconds)
 

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from dpdispatch.cli import COLUMNS, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _emit_run_files, main
 from dpdispatch.metrics import RunReport
+from dpdispatch.privacy import generate_noise_trace
 from dpdispatch.scenario import ScenarioConfig
+from dpdispatch.traces import save_trace
 
 
 def small_config(tmp_path, days=1):
@@ -134,6 +136,28 @@ class TestNoiseCommand:
         assert main(["noise", "--out", str(tmp_path / "r"), flag, "3"]) == EXIT_CONFIG
         assert not (tmp_path / "r").exists()
 
+    def test_default_trace_is_the_code_built_configs(self, tmp_path):
+        # the default run and ScenarioConfig() draw the same noise
+        assert main(["noise", "--out", str(tmp_path / "run")]) == EXIT_OK
+        save_trace(generate_noise_trace(ScenarioConfig().dp, 432), tmp_path / "code.csv", "noise_kw")
+        assert (tmp_path / "run" / "noise.csv").read_bytes() == (tmp_path / "code.csv").read_bytes()
+
+    def test_noise_files_are_simulates(self, tmp_path):
+        # 100-step CSV traces under a config whose days and step_seconds give 432 steps
+        (tmp_path / "pv.csv").write_text(
+            "step,pv_kw\n" + "".join(f"{k},{k % 7}.5\n" for k in range(100)))
+        (tmp_path / "weather.csv").write_text(
+            "step,t_out_c,q_solar_kw_m2\n" + "".join(f"{k},28.0,0.1\n" for k in range(100)))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"n_buildings: 3\ntraces:\n  pv_csv: {tmp_path / 'pv.csv'}\n"
+                        f"  weather_csv: {tmp_path / 'weather.csv'}\n")
+        for command in ("noise", "simulate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == EXIT_OK
+        assert len(read_rows(tmp_path / "noise" / "noise.csv")) == 100
+        for name in ("noise.csv", "noise_histogram.csv", "noise_moments.csv"):
+            assert ((tmp_path / "noise" / name).read_bytes()
+                    == (tmp_path / "simulate" / name).read_bytes()), name
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["noise", "--out", str(a), "--seed", "7"])
@@ -167,6 +191,21 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(out), "--solver", "exact"])
         assert rc == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
+
+    def test_guard_leaves_no_output_directory(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["simulate", "--out", str(out), "--solver", "exact",
+                   "--n-buildings", "5", "--horizon", "5"])
+        assert rc == EXIT_GUARD
+        assert not out.exists()
+
+    def test_one_step_run(self, tmp_path):
+        # fewer steps than synth_pv's cloud smoothing kernel has taps
+        path = tmp_path / "cfg.yaml"
+        path.write_text("n_buildings: 3\ntraces:\n  days: 1\n  step_seconds: 86400\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out / "results.csv")) == 1
 
     def test_exact_solver_table_guard(self, tmp_path, capsys):
         # 20 binaries pass the binary guard, but one building's prefix tree
@@ -262,6 +301,7 @@ class TestSimulateCommand:
         ("buildings:\n  p_rate: '5'\n", "buildings.p_rate must be a finite number"),
         ("traces:\n  pv_csv: 5\n", "traces.pv_csv must be a path string or null"),
         ("traces:\n  weather_csv: true\n", "traces.weather_csv must be a path string or null"),
+        ("traces:\n  pv_csv: nope.csv\n", "error: file not found: nope.csv"),
         ("dp:\n  epsilon: true\n", "dp.epsilon must be a finite number, got True"),
         ("buildings:\n  g_temp: .nan\n", "buildings.g_temp must be a finite number, got nan"),
         ("buildings:\n  g_solar: .inf\n", "buildings.g_solar must be a finite number, got inf"),
@@ -288,8 +328,8 @@ class TestSimulateCommand:
             "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
             "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative",
             "jitter-exponent-text", "weather-mean-exponent-text", "p-rate-string",
-            "pv-csv-int", "weather-csv-bool", "epsilon-bool", "g-temp-nan", "g-solar-inf",
-            "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
+            "pv-csv-int", "weather-csv-bool", "pv-csv-missing", "epsilon-bool", "g-temp-nan",
+            "g-solar-inf", "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
             "dp-delta", "unknown-top-level-keys", "seed-negative", "dp-seed-negative",
             "a-positive", "p-rate-zero", "epsilon-zero", "sensitivity-negative", "horizon-zero",
             "weight-q-negative", "weight-r-negative", "comfort-band-empty", "setpoint-outside-band"])

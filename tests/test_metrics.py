@@ -111,7 +111,6 @@ class TestNoiseMoments:
 
     def test_single_element_undefined_variance(self):
         out = noise_moment_check(Trace(values=(1.0,), unit="kW", step_seconds=600), self.PARAMS)
-        assert not out["variance_defined"]
         assert out["variance"] is None
 
     def test_large_sample_variance(self):

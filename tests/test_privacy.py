@@ -23,6 +23,11 @@ class TestDPParams:
         with pytest.raises(ValueError):
             DPParams(epsilon=-1.0)
 
+    def test_unset_seed_is_refused(self):
+        # numpy would draw an unset seed from OS entropy
+        with pytest.raises(ValueError, match="dp.seed is unset"):
+            generate_noise_trace(DPParams(), 3)
+
 
 class TestLaplaceScale:
     def test_paper_budget(self):

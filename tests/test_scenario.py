@@ -112,6 +112,12 @@ class TestSynthPv:
         trace = synth_pv(days=3, step_seconds=600, peak_kw=250.0, cloud_intensity=0.3, seed=1)
         assert len(trace) == 432
 
+    # one to four steps, fewer than the cloud smoothing kernel's five taps
+    @pytest.mark.parametrize("step_seconds", [86400, 43200, 28800, 21600])
+    def test_short_trace_has_one_value_per_step(self, step_seconds):
+        trace = synth_pv(1, step_seconds, 250.0, 0.3, seed=1)
+        assert len(trace) == 86400 // step_seconds
+
     def test_deterministic(self):
         a = synth_pv(3, 600, 250.0, 0.3, seed=9)
         b = synth_pv(3, 600, 250.0, 0.3, seed=9)
@@ -173,6 +179,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    def test_code_built_default_is_the_loaded_default(self):
+        assert ScenarioConfig() == load_config(None)
+
+    def test_master_seed_alone_derives_the_noise_seed(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 5\n")
+        cfg = load_config(path)
+        assert cfg == ScenarioConfig(seed=5)
+        assert cfg.dp.seed != ScenarioConfig().dp.seed
+
+    def test_explicit_noise_seed_is_kept(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 5\ndp:\n  seed: 12\n")
+        assert load_config(path).dp.seed == 12
+
+    def test_null_noise_seed_is_derived(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 5\ndp:\n  seed: null\n")
+        assert load_config(path) == ScenarioConfig(seed=5)
+
     def test_config_dict_is_complete(self, tmp_path):
         assert main(["noise", "--out", str(tmp_path)]) == 0
         d = json.loads((tmp_path / "manifest.json").read_text())["config"]
@@ -188,10 +214,12 @@ class TestConfig:
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "examples_config.yaml"
 
 # the declared field types that check_fields has a rule for
-FIELD_TYPES = ("int", "float", "str | None")
+FIELD_TYPES = ("int", "float", "str | None", "int | None")
 
 
 def has_declared_type(kind, value):
+    if kind == "int | None":
+        return value is None or type(value) is int
     if kind == "int":
         return type(value) is int
     if kind == "float":
