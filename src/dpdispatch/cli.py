@@ -26,7 +26,7 @@ from dpdispatch.dispatch import SOLVERS, SolverGuardError, clamp_reference, rece
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
 from dpdispatch.scenario import (ConfigError, ScenarioConfig, build_section, build_simulation,
-                                 check_fields, load_config)
+                                 build_traces, check_fields, load_config)
 from dpdispatch.traces import Trace, TraceError, read_table, save_trace, write_csv
 
 EXIT_OK = 0
@@ -100,10 +100,9 @@ def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     }
 
 
-def _build_run(cfg: ScenarioConfig) -> tuple:
-    """A run's inputs: build_simulation's four, then the noise, one value per PV step."""
-    *scenario, pv = build_simulation(cfg)
-    return *scenario, pv, generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
+def _noise_for(pv: Trace, cfg: ScenarioConfig) -> Trace:
+    """The run's noise: one value per PV step."""
+    return generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
 
 
 def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
@@ -126,7 +125,8 @@ def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
 def cmd_noise(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = Path(args.out)
-    *_, noise = _build_run(cfg)
+    _, pv = build_traces(cfg)
+    noise = _noise_for(pv, cfg)
     _emit_noise_files(noise, cfg, out)
     (out / "manifest.json").write_text(json.dumps(_manifest(cfg, args), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(noise)}-step noise trace to {out / 'noise.csv'}")
@@ -152,7 +152,8 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = Path(args.out)
-    models, init_states, disturbances, pv, noise = _build_run(cfg)
+    models, init_states, disturbances, pv = build_simulation(cfg)
+    noise = _noise_for(pv, cfg)
     net = compute_net_pv(pv, noise)
 
     report = receding_horizon_run(

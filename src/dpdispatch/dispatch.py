@@ -40,15 +40,13 @@ which CPython hands to the C library's pow.
 Every control passed to predict_temp is the float 0.0 or 1.0: b_d * 1.0 and
 b_d * 0.0 are the doubles b_d * 1 and b_d * 0 (-0.0 included), and the
 float operand takes CPython's float-times-float path. A schedule stays an
-int8 matrix, and n_on an int count. DispatchProblem.init_temps holds the
-start temperatures as floats, taken from init_states, which may hold
-BuildingState objects or plain temperatures; the solvers read init_temps.
+int8 matrix, and n_on an int count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -97,22 +95,18 @@ class MPCConfig:
 @dataclass(frozen=True)
 class DispatchProblem:
     models: tuple[DiscreteThermalModel, ...]
-    init_states: tuple[BuildingState | float, ...]
+    init_temps: tuple[float, ...]  # start temperature of each building, degC
     disturbance_forecast: DisturbanceTrace
     reference: tuple[float, ...]  # net PV reference, kW per step
-    init_temps: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "init_states", tuple(self.init_states))
-        object.__setattr__(self, "init_temps", [
-            float(s.temp if isinstance(s, BuildingState) else s) for s in self.init_states
-        ])
+        object.__setattr__(self, "init_temps", tuple(map(float, self.init_temps)))
         object.__setattr__(self, "reference", tuple(float(r) for r in self.reference))
         if len(self.models) < 1:
             raise ValueError("need at least one building")
-        if len(self.init_states) != len(self.models):
-            raise ValueError("init_states count does not match models")
+        if len(self.init_temps) != len(self.models):
+            raise ValueError("init_temps count does not match models")
         if len(self.reference) < 1:
             raise ValueError("reference must be non-empty")
         if len(self.disturbance_forecast) < len(self.reference):
@@ -559,14 +553,15 @@ def receding_horizon_run(
     reference: Trace,
     config: MPCConfig,
     solver_choice: str = "greedy",
-    pv: Trace | None = None,
-    noise_kw: Sequence[float] | None = None,
+    *,
+    pv: Trace,
+    noise_kw: Sequence[float],
 ) -> RunReport:
     """Closed loop: solve over the next horizon, apply the first column, advance.
 
     The reference is clamped to [0, fleet capacity] before dispatch; clamped
-    steps are counted in the report. pv / noise_kw, when given, are carried
-    into the report so privacy divergence can be measured downstream. Inputs
+    steps are counted in the report. pv and noise_kw, the reference's sources,
+    are carried into the report so privacy divergence can be measured. Inputs
     whose step sizes disagree, or a pv / noise_kw whose length differs from
     the reference's, are refused before the first step.
     """
@@ -576,14 +571,13 @@ def receding_horizon_run(
     if len(disturbances) < n_steps:
         raise ValueError("disturbance trace shorter than the simulation")
     model_steps = {m.dt_seconds for m in models}
-    pv_steps = set() if pv is None else {pv.step_seconds}
-    if model_steps | pv_steps | {disturbances.step_seconds} != {reference.step_seconds}:
+    if model_steps | {pv.step_seconds, disturbances.step_seconds} != {reference.step_seconds}:
         raise ValueError(
             f"step sizes disagree: reference {reference.step_seconds} s, disturbances "
-            f"{disturbances.step_seconds} s, models {sorted(model_steps)} s, pv {sorted(pv_steps)} s"
+            f"{disturbances.step_seconds} s, models {sorted(model_steps)} s, pv [{pv.step_seconds}] s"
         )
     for name, series in (("pv", pv), ("noise_kw", noise_kw)):
-        if series is not None and len(series) != n_steps:
+        if len(series) != n_steps:
             raise ValueError(f"{name} has {len(series)} steps, the reference {n_steps}")
     try:
         solver = SOLVERS[solver_choice]
@@ -605,7 +599,7 @@ def receding_horizon_run(
         horizon = min(config.horizon_np, n_steps - t)
         problem = DispatchProblem(
             models=models,
-            init_states=cur_temps,
+            init_temps=cur_temps,
             disturbance_forecast=DisturbanceTrace(
                 t_out=disturbances.t_out[t : t + horizon],
                 q_solar=disturbances.q_solar[t : t + horizon],
@@ -634,15 +628,9 @@ def receding_horizon_run(
         agg.append(result.aggregate_kw[0])  # the applied column's draw
         n_on.append(sum(first_col.tolist()))
 
-    if noise_kw is None:
-        noise_kw = tuple(0.0 for _ in range(n_steps))
-    pv_kw = pv.values if pv is not None else tuple(
-        r + n for r, n in zip(raw_ref, noise_kw)
-    )
-
     return RunReport(
         step_seconds=reference.step_seconds,
-        pv_kw=tuple(pv_kw),
+        pv_kw=pv.values,
         noise_kw=tuple(noise_kw),
         reference_kw=tuple(clamped),
         unclamped_reference_kw=tuple(raw_ref),

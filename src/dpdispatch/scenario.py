@@ -120,12 +120,20 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_buildings < 1:
             raise ConfigError("n_buildings must be at least 1")
+        # here, not in _sub_seed: noise with a set dp.seed and CSV traces derives no stream
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.horizon_steps < 1:
+            raise ConfigError(f"traces.step_seconds must be at most traces.days * "
+                              f"{SECONDS_PER_DAY} (traces.days is {self.traces.days}), "
+                              f"got {self.traces.step_seconds}")
         if self.dp.seed is None:
             noise_seed = _sub_seed(self.seed, _STREAM_NOISE)
             object.__setattr__(self, "dp", dataclasses.replace(self.dp, seed=noise_seed))
 
     @property
     def horizon_steps(self) -> int:
+        """Whole steps in traces.days: the synthetic traces' length."""
         return self.traces.days * SECONDS_PER_DAY // self.traces.step_seconds
 
 
@@ -135,8 +143,6 @@ SECTIONS = {"dp": DPParams, "mpc": MPCConfig, "buildings": BuildingParams, "trac
 
 def _sub_seed(master: int, stream: int) -> int:
     """Stable per-purpose child seed from the master seed."""
-    if master < 0:
-        raise ConfigError(f"seed must be nonnegative, got {master}")
     ss = np.random.SeedSequence(entropy=master, spawn_key=(stream,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -204,7 +210,7 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
 
 
 def synth_pv(
-    days: int,
+    n_steps: int,
     step_seconds: int,
     peak_kw: float,
     cloud_intensity: float,
@@ -216,25 +222,22 @@ def synth_pv(
     process is a smoothed uniform sequence scaled by cloud_intensity so the
     multiplier stays in [1 - cloud_intensity, 1] (and hence in [0, 1]).
     """
-    if days < 1:
-        raise ValueError("days must be at least 1")
-    n = days * SECONDS_PER_DAY // step_seconds
-    hours = (np.arange(n) * step_seconds / 3600.0) % 24.0
+    hours = (np.arange(n_steps) * step_seconds / 3600.0) % 24.0
     daylight = (hours >= 6.0) & (hours <= 18.0)
     clear = np.where(daylight, np.sin(np.pi * (hours - 6.0) / 12.0), 0.0)
     clear = np.clip(clear, 0.0, None) * peak_kw
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    raw = rng.random(n)
+    raw = rng.random(n_steps)
     # short moving average keeps cloud cover from flickering step to step
     kernel = np.ones(5) / 5.0
-    smooth = np.convolve(raw, kernel)[2 : 2 + n]  # mode="same", but n values when n < 5
+    smooth = np.convolve(raw, kernel)[2 : 2 + n_steps]  # mode="same", even when n_steps < 5
     factor = 1.0 - cloud_intensity * np.clip(smooth, 0.0, 1.0)
     return Trace(values=tuple((clear * factor).tolist()), unit="kW", step_seconds=step_seconds)
 
 
 def synth_weather(
-    days: int,
+    n_steps: int,
     step_seconds: int,
     mean_c: float,
     swing_c: float,
@@ -245,13 +248,10 @@ def synth_weather(
     A small seeded perturbation (2% of the swing) roughens the profile;
     swing_c = 0 therefore yields a perfectly constant trace.
     """
-    if days < 1:
-        raise ValueError("days must be at least 1")
-    n = days * SECONDS_PER_DAY // step_seconds
-    hours = np.arange(n) * step_seconds / 3600.0
+    hours = np.arange(n_steps) * step_seconds / 3600.0
     base = mean_c + swing_c * np.sin(2.0 * np.pi * (hours - 9.0) / 24.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    perturb = 0.02 * swing_c * rng.standard_normal(n)
+    perturb = 0.02 * swing_c * rng.standard_normal(n_steps)
     return Trace(values=tuple((base + perturb).tolist()), unit="degC", step_seconds=step_seconds)
 
 
@@ -262,16 +262,14 @@ def _solar_from_pv(pv: Trace, peak_kw: float) -> tuple[float, ...]:
     return tuple(v / peak_kw for v in pv.values)
 
 
-def build_simulation(
-    config: ScenarioConfig,
-) -> tuple[list[DiscreteThermalModel], list[BuildingState], DisturbanceTrace, Trace]:
-    """Materialize the fleet, initial states, disturbances, and the PV trace."""
+def build_traces(config: ScenarioConfig) -> tuple[DisturbanceTrace, Trace]:
+    """The run's disturbances and PV trace; a synthetic one has horizon_steps steps."""
     tr = config.traces
     if tr.pv_csv is not None:
         pv = load_trace(tr.pv_csv, "kW", tr.step_seconds)
     else:
         pv = synth_pv(
-            tr.days, tr.step_seconds, tr.pv_peak_kw, tr.cloud_intensity,
+            config.horizon_steps, tr.step_seconds, tr.pv_peak_kw, tr.cloud_intensity,
             _sub_seed(config.seed, _STREAM_PV),
         )
     if tr.weather_csv is not None:
@@ -285,7 +283,7 @@ def build_simulation(
         q_solar_vals = weather[:, header.index("q_solar_kw_m2")].tolist()
     else:
         t_out = synth_weather(
-            tr.days, tr.step_seconds, tr.weather_mean_c, tr.weather_swing_c,
+            config.horizon_steps, tr.step_seconds, tr.weather_mean_c, tr.weather_swing_c,
             _sub_seed(config.seed, _STREAM_WEATHER),
         )
         q_solar_vals = _solar_from_pv(pv, tr.pv_peak_kw)
@@ -293,9 +291,15 @@ def build_simulation(
         raise ConfigError(
             f"trace length mismatch: PV has {len(pv)} steps, weather has {len(t_out)}"
         )
-    disturbances = DisturbanceTrace(
-        t_out=t_out.values, q_solar=q_solar_vals, step_seconds=tr.step_seconds
-    )
+    return DisturbanceTrace(t_out=t_out.values, q_solar=q_solar_vals,
+                            step_seconds=tr.step_seconds), pv
+
+
+def build_simulation(
+    config: ScenarioConfig,
+) -> tuple[list[DiscreteThermalModel], list[BuildingState], DisturbanceTrace, Trace]:
+    """Materialize the fleet, initial states, disturbances, and the PV trace."""
+    disturbances, pv = build_traces(config)
 
     # one vector draw per stream, as Python floats: numpy scalars would make
     # every model coefficient an np.float64 and the closed loop slower
@@ -307,7 +311,7 @@ def build_simulation(
     scales = [1.0 + bp.jitter * (2.0 * r - 1.0) for r in jitter_draws]
     models = [discretize(ContinuousThermalModel(
         a=bp.a * s, b=bp.b * s, g_temp=bp.g_temp * s, g_solar=bp.g_solar * s, p_rate=bp.p_rate,
-    ), tr.step_seconds) for s in scales]
+    ), config.traces.step_seconds) for s in scales]
     lo, hi = config.mpc.comfort_min, config.mpc.comfort_max
     init_states = [BuildingState(temp=lo + (hi - lo) * r) for r in init_draws]
     return models, init_states, disturbances, pv

@@ -142,21 +142,35 @@ class TestNoiseCommand:
         save_trace(generate_noise_trace(ScenarioConfig().dp, 432), tmp_path / "code.csv", "noise_kw")
         assert (tmp_path / "run" / "noise.csv").read_bytes() == (tmp_path / "code.csv").read_bytes()
 
-    def test_noise_files_are_simulates(self, tmp_path):
-        # 100-step CSV traces under a config whose days and step_seconds give 432 steps
-        (tmp_path / "pv.csv").write_text(
-            "step,pv_kw\n" + "".join(f"{k},{k % 7}.5\n" for k in range(100)))
-        (tmp_path / "weather.csv").write_text(
-            "step,t_out_c,q_solar_kw_m2\n" + "".join(f"{k},28.0,0.1\n" for k in range(100)))
-        path = tmp_path / "cfg.yaml"
-        path.write_text(f"n_buildings: 3\ntraces:\n  pv_csv: {tmp_path / 'pv.csv'}\n"
-                        f"  weather_csv: {tmp_path / 'weather.csv'}\n")
+    def test_noise_files_are_simulates(self, tmp_path, csv_traces_config):
         for command in ("noise", "simulate"):
-            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == EXIT_OK
+            argv = [command, "--config", csv_traces_config, "--out", str(tmp_path / command)]
+            assert main(argv) == EXIT_OK
         assert len(read_rows(tmp_path / "noise" / "noise.csv")) == 100
         for name in ("noise.csv", "noise_histogram.csv", "noise_moments.csv"):
             assert ((tmp_path / "noise" / name).read_bytes()
                     == (tmp_path / "simulate" / name).read_bytes()), name
+
+    def test_builds_no_fleet(self, tmp_path, monkeypatch):
+        assert main(["noise", "--out", str(tmp_path / "a")]) == EXIT_OK
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("noise built a thermal model")
+
+        monkeypatch.setattr("dpdispatch.scenario.discretize", no_fleet)
+        assert main(["noise", "--out", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("noise.csv", "noise_histogram.csv", "noise_moments.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_negative_seed_refused_when_no_stream_is_derived(self, tmp_path, csv_traces_config,
+                                                            capsys):
+        # a set noise seed and CSV traces: noise derives no stream from the master seed
+        with open(csv_traces_config, "a") as fh:
+            fh.write("seed: -1\ndp:\n  seed: 5\n")
+        argv = ["noise", "--config", csv_traces_config, "--out", str(tmp_path / "r")]
+        assert main(argv) == EXIT_CONFIG
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -309,6 +323,9 @@ class TestSimulateCommand:
         ("traces:\n  step_seconds: 0\n", "traces.step_seconds must be at least 1"),
         ("traces:\n  step_seconds: -600\n", "traces.step_seconds must be at least 1"),
         ("traces:\n  days: 0\n", "traces.days must be at least 1"),
+        ("traces:\n  days: 1\n  step_seconds: 172800\n",
+         "error: traces.step_seconds must be at most traces.days * 86400 (traces.days is 1), "
+         "got 172800"),
         ("dp:\n  delta: 0.0\n", "unexpected keyword argument 'delta'"),
         ("n_building: 5\nmcp:\n  horizon_np: 2\n",
          "unknown key 'n_building'; known keys: n_buildings, seed, dp, mpc, buildings, traces"),
@@ -330,9 +347,10 @@ class TestSimulateCommand:
             "jitter-exponent-text", "weather-mean-exponent-text", "p-rate-string",
             "pv-csv-int", "weather-csv-bool", "pv-csv-missing", "epsilon-bool", "g-temp-nan",
             "g-solar-inf", "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
-            "dp-delta", "unknown-top-level-keys", "seed-negative", "dp-seed-negative",
-            "a-positive", "p-rate-zero", "epsilon-zero", "sensitivity-negative", "horizon-zero",
-            "weight-q-negative", "weight-r-negative", "comfort-band-empty", "setpoint-outside-band"])
+            "step-longer-than-run", "dp-delta", "unknown-top-level-keys", "seed-negative",
+            "dp-seed-negative", "a-positive", "p-rate-zero", "epsilon-zero", "sensitivity-negative",
+            "horizon-zero", "weight-q-negative", "weight-r-negative", "comfort-band-empty",
+            "setpoint-outside-band"])
     def test_bad_scenario_value_exits_one(self, tmp_path, capsys, text, field):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)

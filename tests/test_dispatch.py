@@ -40,7 +40,7 @@ def make_problem(models, temps, reference, t_out=30.0, q_solar=0.0):
     n_k = len(reference)
     return DispatchProblem(
         models=tuple(models),
-        init_states=tuple(BuildingState(temp=t) for t in temps),
+        init_temps=tuple(temps),
         disturbance_forecast=DisturbanceTrace(
             t_out=(t_out,) * n_k, q_solar=(q_solar,) * n_k
         ),
@@ -61,7 +61,7 @@ def oracle_best(problem, config):
     best = None
     for bits in itertools.product((0, 1), repeat=n_b * n_p):
         u = [[bits[j * n_p + k] for k in range(n_p)] for j in range(n_b)]
-        temps = [s.temp for s in problem.init_states]
+        temps = list(problem.init_temps)
         viol = 0.0
         total = 0.0
         for k in range(n_p):
@@ -182,24 +182,6 @@ def assert_result_from_its_schedule(problem, config):
     """solve_exact's result equals, field by field, the one built from its schedule."""
     got = solve_exact(problem, config)
     assert_same_result(got, _result_from_schedule(problem, got.schedule.u, config))
-
-
-class TestDispatchProblem:
-    @pytest.mark.parametrize("make, seed", [(random_instance, 20261602), (tied_instance, 20261603)])
-    def test_states_or_temperatures_give_the_same_results(self, make, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(40):
-            problem, config = make(rng, max_buildings=6)
-            temps = [s.temp for s in problem.init_states]
-            from_temps = DispatchProblem(
-                models=problem.models,
-                init_states=temps,
-                disturbance_forecast=problem.disturbance_forecast,
-                reference=problem.reference,
-            )
-            assert problem.init_temps == from_temps.init_temps == temps
-            for solver in (solve_priority_heuristic, solve_exact):
-                assert_same_result(solver(from_temps, config), solver(problem, config))
 
 
 class TestSchedule:
@@ -449,7 +431,7 @@ def scalar_reference(problem, schedule, config):
     temps = np.empty((n_b, n_p))
     for j in range(n_b):
         m = problem.models[j]
-        x = problem.init_states[j].temp
+        x = problem.init_temps[j]
         for k in range(n_p):
             x = (
                 m.a_d * x
@@ -618,7 +600,7 @@ def rules_greedy_schedule(problem, config):
     n_p = min(config.horizon_np, len(problem.reference))
     models = problem.models
     p_rates = [m.p_rate for m in models]
-    temps = [s.temp for s in problem.init_states]
+    temps = problem.init_temps
     u = np.zeros((n_b, n_p), dtype=int)
     for k in range(n_p):
         v = (problem.disturbance_forecast.t_out[k], problem.disturbance_forecast.q_solar[k])
@@ -776,7 +758,8 @@ class TestRecedingHorizon:
         dist = DisturbanceTrace(t_out=(30.0,) * 5, q_solar=(0.0,) * 5)
         ref = self._reference([5.0, 0.0, 10.0, 5.0, 0.0])
         config = MPCConfig(horizon_np=1)
-        report = receding_horizon_run(models, states, dist, ref, config, "exact")
+        report = receding_horizon_run(models, states, dist, ref, config, "exact",
+                                      pv=ref, noise_kw=[0.0] * 5)
 
         # independent per-step exhaustive choice
         temps = [23.0, 23.2]
@@ -796,7 +779,8 @@ class TestRecedingHorizon:
         states = [BuildingState(temp=23.5)] * 4
         dist = DisturbanceTrace(t_out=(30.0,) * 20, q_solar=(0.0,) * 20)
         ref = self._reference([0.0] * 20)
-        report = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy")
+        report = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy",
+                                      pv=ref, noise_kw=[0.0] * 20)
         assert sum(report.aggregate_kw) > 0
         assert (report.temps >= 22.5 - COMFORT_TOL).all()
         assert (report.temps <= 23.5 + COMFORT_TOL).all()
@@ -823,7 +807,8 @@ class TestRecedingHorizon:
                                 pv_peak_kw=pv_per_building * n_b),
         )
         models, states, dist, pv = build_simulation(cfg)
-        report = receding_horizon_run(models, states, dist, pv, cfg.mpc, "greedy")
+        report = receding_horizon_run(models, states, dist, pv, cfg.mpc, "greedy",
+                                      pv=pv, noise_kw=[0.0] * len(pv))
         band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
         violating = np.flatnonzero(comfort_violations_per_step(report, band)).tolist()
         assert set(violating) <= set(report.infeasible_steps)
@@ -833,8 +818,10 @@ class TestRecedingHorizon:
         states = [BuildingState(temp=22.8), BuildingState(temp=23.1), BuildingState(temp=23.4)]
         dist = DisturbanceTrace(t_out=(31.0,) * 12, q_solar=(0.2,) * 12)
         ref = self._reference([7.5] * 12)
-        a = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy")
-        b = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy")
+        a = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy",
+                                 pv=ref, noise_kw=[0.0] * 12)
+        b = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy",
+                                 pv=ref, noise_kw=[0.0] * 12)
         assert a.aggregate_kw == b.aggregate_kw
         assert (a.temps == b.temps).all()
 
@@ -845,6 +832,7 @@ class TestRecedingHorizon:
                 models, [BuildingState(temp=23.0)],
                 DisturbanceTrace(t_out=(30.0,), q_solar=(0.0,)),
                 self._reference([1.0, 1.0]), MPCConfig(), "greedy",
+                pv=self._reference([1.0, 1.0]), noise_kw=[0.0] * 2,
             )
 
     def test_unknown_solver_rejected(self):
@@ -854,6 +842,7 @@ class TestRecedingHorizon:
                 models, [BuildingState(temp=23.0)],
                 DisturbanceTrace(t_out=(30.0,), q_solar=(0.0,)),
                 self._reference([1.0]), MPCConfig(), "simplex",
+                pv=self._reference([1.0]), noise_kw=[0.0],
             )
 
     @staticmethod
@@ -864,6 +853,14 @@ class TestRecedingHorizon:
         return dict(models=models, init_states=states, disturbances=dist,
                     reference=compute_net_pv(pv, noise), config=cfg.mpc,
                     pv=pv, noise_kw=noise.values)
+
+    @pytest.mark.parametrize("missing", ["pv", "noise_kw"])
+    def test_pv_and_noise_are_required(self, missing):
+        # the report carries them, so none is made up from the reference
+        kwargs = self._inputs()
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=missing):
+            receding_horizon_run(**kwargs)
 
     @pytest.mark.parametrize("change, message", [
         (lambda k: {"disturbances": dataclasses.replace(k["disturbances"], step_seconds=300)},
@@ -913,7 +910,7 @@ def rules_closed_loop(models, init_temps, dist, raw_ref, config):
         horizon = min(config.horizon_np, n_steps - t)
         problem = DispatchProblem(
             models=tuple(models),
-            init_states=tuple(BuildingState(temp=x) for x in temps),
+            init_temps=tuple(temps),
             disturbance_forecast=DisturbanceTrace(
                 t_out=dist.t_out[t : t + horizon], q_solar=dist.q_solar[t : t + horizon]
             ),

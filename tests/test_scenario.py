@@ -18,6 +18,7 @@ from dpdispatch.scenario import (
     ScenarioConfig,
     TraceSources,
     build_simulation,
+    build_traces,
     load_config,
     synth_pv,
     synth_weather,
@@ -94,7 +95,7 @@ class TestLoadTrace:
 
 class TestSynthPv:
     def test_clear_sky_zero_at_night(self):
-        trace = synth_pv(days=1, step_seconds=600, peak_kw=100.0, cloud_intensity=0.0, seed=1)
+        trace = synth_pv(n_steps=144, step_seconds=600, peak_kw=100.0, cloud_intensity=0.0, seed=1)
         values = np.asarray(trace.values)
         hours = np.arange(len(values)) * 600 / 3600.0
         night = (hours < 6.0) | (hours > 18.0)
@@ -105,42 +106,42 @@ class TestSynthPv:
         assert values[day] == pytest.approx(expected)
 
     def test_zero_peak_all_zero(self):
-        trace = synth_pv(days=2, step_seconds=600, peak_kw=0.0, cloud_intensity=0.5, seed=1)
+        trace = synth_pv(n_steps=288, step_seconds=600, peak_kw=0.0, cloud_intensity=0.5, seed=1)
         assert all(v == 0.0 for v in trace.values)
 
     def test_three_days_432_steps(self):
-        trace = synth_pv(days=3, step_seconds=600, peak_kw=250.0, cloud_intensity=0.3, seed=1)
+        trace = synth_pv(n_steps=432, step_seconds=600, peak_kw=250.0, cloud_intensity=0.3, seed=1)
         assert len(trace) == 432
 
     # one to four steps, fewer than the cloud smoothing kernel's five taps
     @pytest.mark.parametrize("step_seconds", [86400, 43200, 28800, 21600])
     def test_short_trace_has_one_value_per_step(self, step_seconds):
-        trace = synth_pv(1, step_seconds, 250.0, 0.3, seed=1)
+        trace = synth_pv(86400 // step_seconds, step_seconds, 250.0, 0.3, seed=1)
         assert len(trace) == 86400 // step_seconds
 
     def test_deterministic(self):
-        a = synth_pv(3, 600, 250.0, 0.3, seed=9)
-        b = synth_pv(3, 600, 250.0, 0.3, seed=9)
+        a = synth_pv(432, 600, 250.0, 0.3, seed=9)
+        b = synth_pv(432, 600, 250.0, 0.3, seed=9)
         assert a.values == b.values
 
     def test_cloud_factor_stays_in_unit_interval(self):
-        cloudy = synth_pv(3, 600, 250.0, 1.0, seed=4)
-        clear = synth_pv(3, 600, 250.0, 0.0, seed=4)
+        cloudy = synth_pv(432, 600, 250.0, 1.0, seed=4)
+        clear = synth_pv(432, 600, 250.0, 0.0, seed=4)
         for c, k in zip(cloudy.values, clear.values):
             assert 0.0 <= c <= k + 1e-12
 
 
 class TestSynthWeather:
     def test_zero_swing_constant(self):
-        trace = synth_weather(days=1, step_seconds=600, mean_c=28.0, swing_c=0.0, seed=3)
+        trace = synth_weather(n_steps=144, step_seconds=600, mean_c=28.0, swing_c=0.0, seed=3)
         assert all(v == 28.0 for v in trace.values)
 
     def test_three_days_432_steps(self):
-        assert len(synth_weather(3, 600, 30.0, 5.0, seed=3)) == 432
+        assert len(synth_weather(432, 600, 30.0, 5.0, seed=3)) == 432
 
     def test_deterministic(self):
-        a = synth_weather(3, 600, 30.0, 5.0, seed=8)
-        b = synth_weather(3, 600, 30.0, 5.0, seed=8)
+        a = synth_weather(432, 600, 30.0, 5.0, seed=8)
+        b = synth_weather(432, 600, 30.0, 5.0, seed=8)
         assert a.values == b.values
 
 
@@ -284,6 +285,22 @@ class TestExampleConfig:
             for f in dataclasses.fields(cls):
                 assert re.search(rf"^ +(# )?{f.name}:", blocks[section], re.MULTILINE), (
                     section, f.name)
+
+
+class TestBuildTraces:
+    @pytest.mark.parametrize("days, step_seconds, n_steps",
+                             [(3, 600, 432), (1, 700, 123), (1, 43200, 2)])
+    def test_synthetic_length_is_horizon_steps(self, days, step_seconds, n_steps):
+        cfg = ScenarioConfig(traces=TraceSources(days=days, step_seconds=step_seconds))
+        dist, pv = build_traces(cfg)
+        assert len(pv) == len(dist) == cfg.horizon_steps == n_steps
+
+    def test_csv_length_is_the_files(self, csv_traces_config):
+        # days and step_seconds give 432 steps; the CSVs hold 100
+        cfg = load_config(csv_traces_config)
+        dist, pv = build_traces(cfg)
+        assert cfg.horizon_steps == 432
+        assert len(pv) == len(dist) == 100
 
 
 class TestBuildSimulation:
