@@ -100,6 +100,15 @@ def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     }
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    """--out, refused unless its nearest existing path is a directory; creates nothing."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return out
+
+
 def _noise_for(pv: Trace, cfg: ScenarioConfig) -> Trace:
     """The run's noise: one value per PV step."""
     return generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
@@ -123,8 +132,8 @@ def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     cfg = _load(args)
-    out = Path(args.out)
     _, pv = build_traces(cfg)
     noise = _noise_for(pv, cfg)
     _emit_noise_files(noise, cfg, out)
@@ -150,14 +159,14 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     cfg = _load(args)
-    out = Path(args.out)
-    models, init_states, disturbances, pv = build_simulation(cfg)
+    models, init_temps, disturbances, pv = build_simulation(cfg)
     noise = _noise_for(pv, cfg)
     net = compute_net_pv(pv, noise)
 
     report = receding_horizon_run(
-        models, init_states, disturbances, net, cfg.mpc,
+        models, init_temps, disturbances, net, cfg.mpc,
         solver_choice=args.solver, pv=pv, noise_kw=noise.values,
     )
 

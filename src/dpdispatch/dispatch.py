@@ -16,8 +16,9 @@ Two solvers share one problem statement:
   must-OFF / free) followed by a rounded target count and a hottest-first
   priority pick. Scales to the full fleet.
 
-Both return the schedule and what it predicts, with no plan flag; the closed
-loop flags infeasible steps from classify_step on the realized state.
+Both return the schedule with its draws, its cost and the temperatures it
+predicts, with no plan flag; the closed loop flags infeasible steps from
+classify_step on the realized state.
 
 Every float sum is a left fold in a fixed order, so that outputs are
 bit-identical across builds and Python versions and a solver's reported cost
@@ -55,7 +56,6 @@ import numpy as np
 
 from dpdispatch.metrics import COMFORT_TOL, RunReport
 from dpdispatch.thermal import (
-    BuildingState,
     DiscreteThermalModel,
     DisturbanceTrace,
     fleet_coefficients,
@@ -147,8 +147,7 @@ class DispatchResult:
     schedule: Schedule
     aggregate_kw: tuple[float, ...]
     cost: float
-    per_building_error: np.ndarray  # e_i(k) = predicted temp - setpoint
-    violations: tuple[tuple[int, int, float], ...]  # (building, step, overshoot degC)
+    temps: np.ndarray  # predicted temperature after each column, one row per building
     # no plan flag: the closed loop flags infeasible steps from classify_step
 
 
@@ -223,33 +222,14 @@ def cost(problem: DispatchProblem, schedule: Schedule, config: MPCConfig) -> flo
     return j_total
 
 
-def _overshoot(temps: np.ndarray, config: MPCConfig) -> np.ndarray:
-    """Per entry, degC outside the comfort band, or 0.0 within COMFORT_TOL of it.
-
-    An entry more than COMFORT_TOL outside is overshoot by more than
-    COMFORT_TOL, so the nonzero entries are exactly the violations.
-    """
-    c_lo, c_hi = config.comfort_min, config.comfort_max
-    return np.where(temps > c_hi + COMFORT_TOL, temps - c_hi,
-                    np.where(temps < c_lo - COMFORT_TOL, c_lo - temps, 0.0))
-
-
-def _violations_from_temps(temps: np.ndarray, config: MPCConfig):
-    """(building, step, overshoot) in row-major order, as np.nonzero walks."""
-    overshoot = _overshoot(temps, config)
-    js, ks = np.nonzero(overshoot)
-    return tuple(zip(js.tolist(), ks.tolist(), overshoot[js, ks].tolist()))
-
-
-def _result(problem: DispatchProblem, schedule: Schedule, temps: np.ndarray, total: float,
-            config: MPCConfig) -> DispatchResult:
+def _result(problem: DispatchProblem, schedule: Schedule, temps: np.ndarray,
+            total: float) -> DispatchResult:
     """The DispatchResult of a schedule, its predicted temperatures and its cost."""
     return DispatchResult(
         schedule=schedule,
         aggregate_kw=tuple(_column_draws(schedule.u, [m.p_rate for m in problem.models]).tolist()),
         cost=total,
-        per_building_error=temps - config.setpoint_xr,
-        violations=_violations_from_temps(temps, config),
+        temps=temps,
     )
 
 
@@ -258,7 +238,7 @@ def _result_from_schedule(
 ) -> DispatchResult:
     schedule = Schedule(u=u)
     temps = predict_trajectories(problem, schedule, schedule.n_steps)
-    return _result(problem, schedule, temps, cost(problem, schedule, config), config)
+    return _result(problem, schedule, temps, cost(problem, schedule, config))
 
 
 # Relative slack on the bound prunes. A leaf's violation and cost and their
@@ -303,7 +283,12 @@ def _level_tables(
     stack = np.zeros((4, tree.size))
     e = tree - config.setpoint_xr
     np.multiply(e, e, out=stack[0])
-    stack[1] = _overshoot(tree, config)
+    # degC outside the band, or 0.0 within COMFORT_TOL of it: an entry more
+    # than COMFORT_TOL outside overshoots by more than COMFORT_TOL, so the
+    # nonzero entries are exactly the violations
+    c_lo, c_hi = config.comfort_min, config.comfort_max
+    stack[1] = np.where(tree > c_hi + COMFORT_TOL, tree - c_hi,
+                        np.where(tree < c_lo - COMFORT_TOL, c_lo - tree, 0.0))
     # per prefix, the cheapest e*e and overshoot its completions still add:
     # backward over the levels, the smaller of each pair of siblings
     terms, to_go = stack[:2], stack[2:]
@@ -319,8 +304,8 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     The comfort band is a hard constraint on predicted temperatures; among
     comfort-feasible schedules the one of minimal cost wins, ties broken by
     the lexicographically smallest row-major flattening. If no schedule is
-    feasible the minimal-total-violation schedule is returned with its
-    violations marked.
+    feasible the minimal-total-violation schedule is returned; its temps
+    show where it leaves the band.
 
     A building's temperatures depend only on its own controls, so
     thermal.prefix_temps gives, once per solve, each building's temperature
@@ -446,7 +431,7 @@ def solve_exact(problem: DispatchProblem, config: MPCConfig) -> DispatchResult:
     prefixes = np.array(leaf)[:, None] >> np.arange(n_p - 1, -1, -1)
     u = prefixes & 1
     temps = tree[prefixes + [lv.start for lv in level]]
-    return _result(problem, Schedule(u=u), temps, best_cost, config)
+    return _result(problem, Schedule(u=u), temps, best_cost)
 
 
 def classify_step(
@@ -548,7 +533,7 @@ def clamp_reference(raw: Sequence[float], capacity: float) -> list[float]:
 
 def receding_horizon_run(
     models: Sequence[DiscreteThermalModel],
-    init_states: Sequence[BuildingState],
+    init_temps: Sequence[float],
     disturbances: DisturbanceTrace,
     reference: Trace,
     config: MPCConfig,
@@ -594,7 +579,7 @@ def receding_horizon_run(
     must_on_kw, free_kw = [], []
     infeasible_steps = []
 
-    cur_temps = [s.temp for s in init_states]
+    cur_temps = list(init_temps)
     for t in range(n_steps):
         horizon = min(config.horizon_np, n_steps - t)
         problem = DispatchProblem(

@@ -21,7 +21,6 @@ import yaml
 from dpdispatch.dispatch import MPCConfig
 from dpdispatch.privacy import DPParams
 from dpdispatch.thermal import (
-    BuildingState,
     ContinuousThermalModel,
     DiscreteThermalModel,
     DisturbanceTrace,
@@ -297,8 +296,8 @@ def build_traces(config: ScenarioConfig) -> tuple[DisturbanceTrace, Trace]:
 
 def build_simulation(
     config: ScenarioConfig,
-) -> tuple[list[DiscreteThermalModel], list[BuildingState], DisturbanceTrace, Trace]:
-    """Materialize the fleet, initial states, disturbances, and the PV trace."""
+) -> tuple[list[DiscreteThermalModel], list[float], DisturbanceTrace, Trace]:
+    """Materialize the fleet, its start temperatures (degC), disturbances, and the PV trace."""
     disturbances, pv = build_traces(config)
 
     # one vector draw per stream, as Python floats: numpy scalars would make
@@ -313,5 +312,4 @@ def build_simulation(
         a=bp.a * s, b=bp.b * s, g_temp=bp.g_temp * s, g_solar=bp.g_solar * s, p_rate=bp.p_rate,
     ), config.traces.step_seconds) for s in scales]
     lo, hi = config.mpc.comfort_min, config.mpc.comfort_max
-    init_states = [BuildingState(temp=lo + (hi - lo) * r) for r in init_draws]
-    return models, init_states, disturbances, pv
+    return models, [lo + (hi - lo) * r for r in init_draws], disturbances, pv

@@ -136,12 +136,6 @@ def fleet_coefficients(models: Sequence[DiscreteThermalModel]) -> np.ndarray:
 _CONTROLS = np.array([0.0, 1.0])
 
 
-def _step_fleet(coef: np.ndarray, x: np.ndarray, u: np.ndarray, t_out: float, q_solar: float):
-    """predict_temp on arrays, in its operation order; u holds 0.0 / 1.0."""
-    a_d, b_d, g_t, g_s = coef
-    return a_d * x + b_d * u + g_t * t_out + g_s * q_solar
-
-
 def prefix_temps(
     coef: np.ndarray,
     start: np.ndarray,
@@ -158,12 +152,17 @@ def prefix_temps(
     Each entry equals predict_temp chained along its prefix, to the bit.
     """
     n_b = len(start)
-    coef = coef[:, :, None, None]
+    a_d, b_d, g_t, g_s = coef[:, :, None]
+    # formed once: b_d * u for u = 0.0 and 1.0, and the disturbance products
+    # of every level, one column each
+    b_u = (b_d * _CONTROLS)[:, None, :]
+    d_t = (g_t * np.asarray(t_out, dtype=float)).T[:, :, None, None]
+    d_q = (g_s * np.asarray(q_solar, dtype=float)).T[:, :, None, None]
     x = np.asarray(start, dtype=float)[:, None]
     levels = []
-    for t, q in zip(t_out, q_solar):
-        # each parent against both controls: column p's children land in 2p, 2p + 1
-        x = _step_fleet(coef, x[:, :, None], _CONTROLS, t, q).reshape(n_b, -1)
+    for t, q in zip(d_t, d_q):
+        # predict_temp's order, each parent against both controls: column
+        # p's children land in 2p and 2p + 1
+        x = ((a_d * x)[:, :, None] + b_u + t + q).reshape(n_b, -1)
         levels.append(x)
     return levels
-

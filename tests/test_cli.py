@@ -12,7 +12,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from dpdispatch.cli import COLUMNS, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _emit_run_files, main
+from dpdispatch.cli import (COLUMNS, EXIT_CONFIG, EXIT_GUARD, EXIT_INFEASIBLE, EXIT_OK,
+                           _emit_run_files, main)
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import generate_noise_trace
 from dpdispatch.scenario import ScenarioConfig
@@ -274,6 +275,26 @@ class TestSimulateCommand:
         with open(tmp_path / "temperatures.csv", newline="") as fh:
             assert sum(1 for _ in fh) == n_steps + 1
 
+    def test_strict_exits_three_and_writes_the_full_tree(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("buildings:\n  jitter: 0.2\n")
+        argv = ["simulate", "--config", str(path), "--n-buildings", "5", "--seed", "7"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "strict"), "--strict"]) == EXIT_INFEASIBLE
+        assert "--strict set" in capsys.readouterr().err
+        flags = read_rows(tmp_path / "strict" / "flags.csv")
+        assert sum(int(row["infeasible"]) for row in flags) == 77
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "strict").iterdir())
+        assert len(names) == 9
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "strict" / name).read_bytes()
+
+    def test_strict_passes_a_run_with_no_flagged_step(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--n-buildings", "5", "--out", str(out), "--strict"]) == EXIT_OK
+        assert {row["infeasible"] for row in read_rows(out / "flags.csv")} == {"0"}
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
@@ -366,6 +387,41 @@ class TestSimulateCommand:
         rc = main(["simulate", "--solver", "simplex", "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
         assert main(["simulate", "--help"]) == EXIT_OK
+
+
+class TestOutRefusedUpFront:
+    """An --out whose nearest existing path is not a directory is refused
+    before any run input is built, and nothing is written."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["noise", "simulate"])
+    def test_refused_before_the_run(self, tmp_path, capsys, monkeypatch, command, below):
+        self.never_build(monkeypatch)
+        taken = tmp_path / "taken.csv"
+        taken.write_text("step,pv_kw\n0,1.0\n")
+        out = taken / "run" if below else taken
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+        assert taken.read_text() == "step,pv_kw\n0,1.0\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("command", ["noise", "simulate"])
+    def test_dangling_link_refused(self, tmp_path, capsys, monkeypatch, command):
+        # mkdir cannot make a directory at a dangling link either
+        self.never_build(monkeypatch)
+        link = tmp_path / "run"
+        link.symlink_to(tmp_path / "gone")
+        assert main([command, "--out", str(link)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {link}: {link} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [link]
+
+    @staticmethod
+    def never_build(monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run inputs built for a refused --out")
+
+        for name in ("build_traces", "build_simulation", "receding_horizon_run"):
+            monkeypatch.setattr(f"dpdispatch.cli.{name}", never)
 
 
 class TestPinnedDigests:

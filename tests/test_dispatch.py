@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from dpdispatch.dispatch import (
     EXACT_TABLE_GUARD,
+    SOLVERS,
     DispatchProblem,
     MPCConfig,
     Schedule,
@@ -25,11 +27,13 @@ from dpdispatch.dispatch import (
 )
 from dpdispatch.metrics import comfort_violations_per_step
 from dpdispatch.privacy import DPParams, compute_net_pv, generate_noise_trace
-from dpdispatch.scenario import BuildingParams, ScenarioConfig, TraceSources, build_simulation
-from dpdispatch.thermal import BuildingState, DiscreteThermalModel, DisturbanceTrace, predict_temp
+from dpdispatch.scenario import (BuildingParams, ScenarioConfig, TraceSources, build_simulation,
+                                 load_config)
+from dpdispatch.thermal import DiscreteThermalModel, DisturbanceTrace, predict_temp
 from dpdispatch.traces import Trace
 
 COMFORT_TOL = 1e-9
+EXACT_BNB = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "exact_bnb.yaml"
 
 
 def make_model(a_d=0.92, b_d=-0.96, g_t=0.08, g_s=0.0, p_rate=5.0):
@@ -167,15 +171,21 @@ def wide_instances(make, seed, count):
     return instances
 
 
+def band_sides(temps, config):
+    """Per entry, 1 above the comfort band and -1 below it by more than
+    COMFORT_TOL, else 0: the nonzero entries are the violations."""
+    return np.where(temps > config.comfort_max + COMFORT_TOL, 1,
+                    np.where(temps < config.comfort_min - COMFORT_TOL, -1, 0))
+
+
 def assert_same_result(got, want):
     """Two DispatchResults equal field by field, arrays to the bit."""
     assert got.schedule.u.dtype == want.schedule.u.dtype
     assert got.schedule.u.tolist() == want.schedule.u.tolist()
     assert got.aggregate_kw == want.aggregate_kw
     assert got.cost == want.cost
-    assert got.per_building_error.shape == want.per_building_error.shape
-    assert got.per_building_error.tobytes() == want.per_building_error.tobytes()
-    assert got.violations == want.violations
+    assert got.temps.shape == want.temps.shape
+    assert got.temps.tobytes() == want.temps.tobytes()
 
 
 def assert_result_from_its_schedule(problem, config):
@@ -228,10 +238,11 @@ class TestSolveExact:
         # zero reference, temp holding at setpoint: staying OFF costs nothing
         m = make_model(a_d=1.0, b_d=-0.5, g_t=0.0)
         problem = make_problem([m], [23.0], [0.0], t_out=0.0)
-        result = solve_exact(problem, MPCConfig(horizon_np=1))
+        config = MPCConfig(horizon_np=1)
+        result = solve_exact(problem, config)
         assert result.schedule.u.tolist() == [[0]]
         assert result.cost == 0.0
-        assert result.violations == ()
+        assert not band_sides(result.temps, config).any()
 
     def test_hotter_unit_wins(self):
         # one unit of power requested; cooling the hotter building leaves a
@@ -261,7 +272,7 @@ class TestSolveExact:
             oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
             assert got.cost == oracle_cost
             assert got.schedule.u.tolist() == oracle_u.tolist()
-            assert bool(got.violations) == (oracle_viol > 0)
+            assert band_sides(got.temps, config).any() == (oracle_viol > 0)
             n_violating += oracle_viol > 0
         assert 0 < n_violating < 200
 
@@ -313,7 +324,7 @@ class TestSolveExact:
             oracle_viol, oracle_cost, oracle_u = oracle_best(problem, config)
             assert got.cost == oracle_cost
             assert got.schedule.u.tolist() == oracle_u.tolist()
-            assert bool(got.violations) == (oracle_viol > 0)
+            assert band_sides(got.temps, config).any() == (oracle_viol > 0)
 
     @pytest.mark.parametrize("kind", sorted(WIDE))
     def test_result_equals_one_built_from_its_schedule_at_five_and_six_buildings(self, kind):
@@ -420,7 +431,7 @@ class TestPriorityHeuristic:
 
 
 def scalar_reference(problem, schedule, config):
-    """Aggregate, cost, error and violations by per-element scalar loops.
+    """Aggregate, cost and temperatures by per-element scalar loops.
 
     Reads the schedule and temperatures one numpy element at a time and
     accumulates every float sum left to right. A solver's result must match
@@ -453,15 +464,7 @@ def scalar_reference(problem, schedule, config):
             e = temps[j, k] - config.setpoint_xr
             e_sum += e * e
         total += config.weight_q * (aggregate[k] - problem.reference[k]) ** 2 + config.weight_r * e_sum
-    violations = []
-    for j in range(n_b):
-        for k in range(n_p):
-            t = temps[j, k]
-            if t > config.comfort_max + COMFORT_TOL:
-                violations.append((j, k, t - config.comfort_max))
-            elif t < config.comfort_min - COMFORT_TOL:
-                violations.append((j, k, config.comfort_min - t))
-    return tuple(aggregate), total, temps - config.setpoint_xr, tuple(violations)
+    return tuple(aggregate), total, temps
 
 
 class TestScalarReference:
@@ -491,14 +494,14 @@ class TestScalarReference:
         problem = self._problem([7.3, 12.9, 3.1, 18.45, 9.99, 0.7])
         config = MPCConfig(horizon_np=6, weight_q=weight_q, weight_r=weight_r)
         result = solve_priority_heuristic(problem, config)
-        aggregate, total, error, violations = scalar_reference(problem, result.schedule, config)
-        assert {np.sign(error[j, k]) for j, k, _ in violations} == {-1.0, 1.0}
-        assert len({k for _, k, _ in violations}) > 1
+        aggregate, total, temps = scalar_reference(problem, result.schedule, config)
+        sides = band_sides(temps, config)
+        assert {-1, 1} <= set(sides.flat)
+        assert len(set(np.nonzero(sides)[1].tolist())) > 1
         assert result.aggregate_kw == aggregate
         assert result.cost == total
         assert cost(problem, result.schedule, config) == total
-        assert result.violations == violations
-        assert (result.per_building_error == error).all()
+        assert result.temps.tobytes() == temps.tobytes()
 
     # the exact benchmark's shape: 4 buildings x horizon 5, 20 binaries; a
     # hot day, so the optimum leaves the band on both sides and the two
@@ -508,12 +511,11 @@ class TestScalarReference:
         problem = self._problem([7.3, 12.9, 3.1, 18.45, 9.99], n_buildings=4, t_out=35.0)
         config = MPCConfig(horizon_np=5, weight_q=weight_q, weight_r=weight_r)
         result = solve_exact(problem, config)
-        aggregate, total, error, violations = scalar_reference(problem, result.schedule, config)
-        assert {np.sign(error[j, k]) for j, k, _ in violations} == {-1.0, 1.0}
+        aggregate, total, temps = scalar_reference(problem, result.schedule, config)
+        assert {-1, 1} <= set(band_sides(temps, config).flat)
         assert result.aggregate_kw == aggregate
         assert result.cost == total
-        assert result.violations == violations
-        assert result.per_building_error.tobytes() == error.tobytes()
+        assert result.temps.tobytes() == temps.tobytes()
 
     def test_too_few_schedule_columns(self):
         problem = self._problem([1.0, 2.0, 3.0])
@@ -754,11 +756,10 @@ class TestRecedingHorizon:
 
     def test_horizon_one_exact_equals_per_step_choice(self):
         models = [make_model(), make_model()]
-        states = [BuildingState(temp=23.0), BuildingState(temp=23.2)]
         dist = DisturbanceTrace(t_out=(30.0,) * 5, q_solar=(0.0,) * 5)
         ref = self._reference([5.0, 0.0, 10.0, 5.0, 0.0])
         config = MPCConfig(horizon_np=1)
-        report = receding_horizon_run(models, states, dist, ref, config, "exact",
+        report = receding_horizon_run(models, [23.0, 23.2], dist, ref, config, "exact",
                                       pv=ref, noise_kw=[0.0] * 5)
 
         # independent per-step exhaustive choice
@@ -776,10 +777,9 @@ class TestRecedingHorizon:
     def test_comfort_pressure_forces_consumption(self):
         # zero reference, temps at the hot edge: must-ON keeps the fleet in band
         models = [make_model()] * 4
-        states = [BuildingState(temp=23.5)] * 4
         dist = DisturbanceTrace(t_out=(30.0,) * 20, q_solar=(0.0,) * 20)
         ref = self._reference([0.0] * 20)
-        report = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy",
+        report = receding_horizon_run(models, [23.5] * 4, dist, ref, MPCConfig(), "greedy",
                                       pv=ref, noise_kw=[0.0] * 20)
         assert sum(report.aggregate_kw) > 0
         assert (report.temps >= 22.5 - COMFORT_TOL).all()
@@ -806,8 +806,8 @@ class TestRecedingHorizon:
             traces=TraceSources(days=1, weather_mean_c=weather_mean,
                                 pv_peak_kw=pv_per_building * n_b),
         )
-        models, states, dist, pv = build_simulation(cfg)
-        report = receding_horizon_run(models, states, dist, pv, cfg.mpc, "greedy",
+        models, temps, dist, pv = build_simulation(cfg)
+        report = receding_horizon_run(models, temps, dist, pv, cfg.mpc, "greedy",
                                       pv=pv, noise_kw=[0.0] * len(pv))
         band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
         violating = np.flatnonzero(comfort_violations_per_step(report, band)).tolist()
@@ -815,12 +815,12 @@ class TestRecedingHorizon:
 
     def test_determinism(self):
         models = [make_model()] * 3
-        states = [BuildingState(temp=22.8), BuildingState(temp=23.1), BuildingState(temp=23.4)]
+        temps = [22.8, 23.1, 23.4]
         dist = DisturbanceTrace(t_out=(31.0,) * 12, q_solar=(0.2,) * 12)
         ref = self._reference([7.5] * 12)
-        a = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy",
+        a = receding_horizon_run(models, temps, dist, ref, MPCConfig(), "greedy",
                                  pv=ref, noise_kw=[0.0] * 12)
-        b = receding_horizon_run(models, states, dist, ref, MPCConfig(), "greedy",
+        b = receding_horizon_run(models, temps, dist, ref, MPCConfig(), "greedy",
                                  pv=ref, noise_kw=[0.0] * 12)
         assert a.aggregate_kw == b.aggregate_kw
         assert (a.temps == b.temps).all()
@@ -829,7 +829,7 @@ class TestRecedingHorizon:
         models = [make_model()]
         with pytest.raises(ValueError):
             receding_horizon_run(
-                models, [BuildingState(temp=23.0)],
+                models, [23.0],
                 DisturbanceTrace(t_out=(30.0,), q_solar=(0.0,)),
                 self._reference([1.0, 1.0]), MPCConfig(), "greedy",
                 pv=self._reference([1.0, 1.0]), noise_kw=[0.0] * 2,
@@ -839,7 +839,7 @@ class TestRecedingHorizon:
         models = [make_model()]
         with pytest.raises(ValueError):
             receding_horizon_run(
-                models, [BuildingState(temp=23.0)],
+                models, [23.0],
                 DisturbanceTrace(t_out=(30.0,), q_solar=(0.0,)),
                 self._reference([1.0]), MPCConfig(), "simplex",
                 pv=self._reference([1.0]), noise_kw=[0.0],
@@ -848,9 +848,9 @@ class TestRecedingHorizon:
     @staticmethod
     def _inputs():
         cfg = ScenarioConfig(n_buildings=5, traces=TraceSources(days=1))
-        models, states, dist, pv = build_simulation(cfg)
+        models, temps, dist, pv = build_simulation(cfg)
         noise = generate_noise_trace(cfg.dp, len(pv), pv.step_seconds)
-        return dict(models=models, init_states=states, disturbances=dist,
+        return dict(models=models, init_temps=temps, disturbances=dist,
                     reference=compute_net_pv(pv, noise), config=cfg.mpc,
                     pv=pv, noise_kw=noise.values)
 
@@ -882,6 +882,30 @@ class TestRecedingHorizon:
         with pytest.raises(ValueError) as exc:
             receding_horizon_run(**kwargs)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("solver, make_config", [
+        ("exact", lambda: load_config(EXACT_BNB)),
+        ("greedy", lambda: ScenarioConfig(n_buildings=50, seed=7,
+                                          buildings=BuildingParams(jitter=0.2))),
+    ], ids=["exact-4x5", "greedy-50"])
+    def test_loop_advances_to_each_results_prediction(self, monkeypatch, solver, make_config):
+        # every realized temperature is the solver's predicted first column, to the bit
+        cfg = make_config()
+        solve, results = SOLVERS[solver], []
+
+        def recording(problem, config):
+            results.append(solve(problem, config))
+            return results[-1]
+
+        monkeypatch.setitem(SOLVERS, solver, recording)
+        models, temps, dist, pv = build_simulation(cfg)
+        noise = generate_noise_trace(cfg.dp, len(pv), pv.step_seconds)
+        report = receding_horizon_run(models, temps, dist, compute_net_pv(pv, noise), cfg.mpc,
+                                      solver, pv=pv, noise_kw=noise.values)
+        assert len(results) == report.n_steps == 432
+        for t, result in enumerate(results):
+            assert result.temps.shape == (cfg.n_buildings, min(cfg.mpc.horizon_np, 432 - t))
+            assert report.temps[:, t].tobytes() == result.temps[:, 0].tobytes(), t
 
 
 def rules_closed_loop(models, init_temps, dist, raw_ref, config):
@@ -917,7 +941,7 @@ def rules_closed_loop(models, init_temps, dist, raw_ref, config):
             reference=tuple(reference[t : t + horizon]),
         )
         u = rules_greedy_schedule(problem, config)
-        draws, _, _, _ = scalar_reference(problem, Schedule(u=u), config)
+        draws, _, _ = scalar_reference(problem, Schedule(u=u), config)
         aggregate.append(float(draws[0]))
         n_on.append(sum(1 for j in range(n_b) if u[j, 0] == 1))
 
@@ -990,14 +1014,14 @@ class TestClosedLoopSpec:
             traces=TraceSources(days=1, weather_mean_c=weather_mean,
                                 pv_peak_kw=pv_per_building * n_b),
         )
-        models, states, dist, pv = build_simulation(cfg)
+        models, temps, dist, pv = build_simulation(cfg)
         models = [dataclasses.replace(m, p_rate=r) for m, r in zip(models, ratings)]
         noise = generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
         net = compute_net_pv(pv, noise)
         report = receding_horizon_run(
-            models, states, dist, net, cfg.mpc, "greedy", pv=pv, noise_kw=noise.values
+            models, temps, dist, net, cfg.mpc, "greedy", pv=pv, noise_kw=noise.values
         )
-        spec = rules_closed_loop(models, [s.temp for s in states], dist, net.values, cfg.mpc)
+        spec = rules_closed_loop(models, temps, dist, net.values, cfg.mpc)
 
         assert report.step_seconds == net.step_seconds
         assert report.pv_kw == pv.values

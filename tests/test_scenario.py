@@ -306,9 +306,9 @@ class TestBuildTraces:
 class TestBuildSimulation:
     def test_fleet_size(self):
         cfg = ScenarioConfig(n_buildings=100)
-        models, states, dist, pv = build_simulation(cfg)
+        models, temps, dist, pv = build_simulation(cfg)
         assert len(models) == 100
-        assert len(states) == 100
+        assert len(temps) == 100
         assert len(dist) == len(pv) == 432
 
     def test_identical_fleet_without_jitter(self):
@@ -326,10 +326,10 @@ class TestBuildSimulation:
     def test_draws_are_python_floats(self, jitter):
         # np.float64 coefficients make every predict_temp call several times slower
         cfg = ScenarioConfig(n_buildings=5, buildings=BuildingParams(jitter=jitter))
-        models, states, _, _ = build_simulation(cfg)
+        models, temps, _, _ = build_simulation(cfg)
         values = [getattr(m, f.name) for m in models for f in dataclasses.fields(m)
                   if f.name != "dt_seconds"]
-        assert {type(v) for v in values + [s.temp for s in states]} == {float}
+        assert {type(v) for v in values + temps} == {float}
 
     def test_negative_seed_names_seed(self):
         with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
@@ -341,14 +341,14 @@ class TestBuildSimulation:
         assert len({m.a_d for m in models}) > 1
 
     def test_init_temps_inside_band(self):
-        _, states, _, _ = build_simulation(ScenarioConfig(n_buildings=50))
-        for s in states:
-            assert 22.5 <= s.temp <= 23.5
+        _, temps, _, _ = build_simulation(ScenarioConfig(n_buildings=50))
+        for temp in temps:
+            assert 22.5 <= temp <= 23.5
 
     def test_seed_determinism(self):
         a = build_simulation(ScenarioConfig(n_buildings=4, seed=13))
         b = build_simulation(ScenarioConfig(n_buildings=4, seed=13))
-        assert [s.temp for s in a[1]] == [s.temp for s in b[1]]
+        assert a[1] == b[1]
         assert a[3].values == b[3].values
         assert a[2].t_out == b[2].t_out
 
