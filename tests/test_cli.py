@@ -393,35 +393,25 @@ class TestOutRefusedUpFront:
     """An --out whose nearest existing path is not a directory is refused
     before any run input is built, and nothing is written."""
 
-    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("kind", ["file", "under-file", "dangling-link"])
     @pytest.mark.parametrize("command", ["noise", "simulate"])
-    def test_refused_before_the_run(self, tmp_path, capsys, monkeypatch, command, below):
-        self.never_build(monkeypatch)
-        taken = tmp_path / "taken.csv"
-        taken.write_text("step,pv_kw\n0,1.0\n")
-        out = taken / "run" if below else taken
-        assert main([command, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
-        assert taken.read_text() == "step,pv_kw\n0,1.0\n"
-        assert list(tmp_path.iterdir()) == [taken]
-
-    @pytest.mark.parametrize("command", ["noise", "simulate"])
-    def test_dangling_link_refused(self, tmp_path, capsys, monkeypatch, command):
-        # mkdir cannot make a directory at a dangling link either
-        self.never_build(monkeypatch)
-        link = tmp_path / "run"
-        link.symlink_to(tmp_path / "gone")
-        assert main([command, "--out", str(link)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: --out {link}: {link} is not a directory\n"
-        assert list(tmp_path.iterdir()) == [link]
-
-    @staticmethod
-    def never_build(monkeypatch):
+    def test_refused_before_the_run(self, tmp_path, capsys, monkeypatch, command, kind):
         def never(*args, **kwargs):
             raise AssertionError("run inputs built for a refused --out")
 
         for name in ("build_traces", "build_simulation", "receding_horizon_run"):
             monkeypatch.setattr(f"dpdispatch.cli.{name}", never)
+        taken = tmp_path / "taken"
+        if kind == "dangling-link":  # mkdir cannot make a directory there either
+            taken.symlink_to(tmp_path / "gone")
+        else:
+            taken.write_text("step,pv_kw\n0,1.0\n")
+        held = taken.readlink() if taken.is_symlink() else taken.read_text()
+        out = taken / "run" if kind == "under-file" else taken
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+        assert (taken.readlink() if taken.is_symlink() else taken.read_text()) == held
+        assert list(tmp_path.iterdir()) == [taken]
 
 
 class TestPinnedDigests:
