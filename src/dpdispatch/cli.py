@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -109,6 +108,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _read_manifest(path: Path) -> tuple[object, object]:
+    """A run manifest's subcommand and config; ConfigError unless path holds one."""
+    try:
+        manifest = json.loads(path.read_text())
+        return manifest["subcommand"], manifest["config"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a run manifest: {exc!r}") from None
+
+
 def _noise_for(pv: Trace, cfg: ScenarioConfig) -> Trace:
     """The run's noise: one value per PV step."""
     return generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
@@ -133,6 +141,9 @@ def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
 
 def cmd_noise(args: argparse.Namespace) -> int:
     out = _out_dir(args)
+    manifest = out / "manifest.json"  # a simulate tree's noise files are its run's
+    if manifest.is_file() and _read_manifest(manifest)[0] == "simulate":
+        raise ConfigError(f"--out {out} holds a simulate run; noise would mix a second run into it")
     cfg = _load(args)
     _, pv = build_traces(cfg)
     noise = _noise_for(pv, cfg)
@@ -193,8 +204,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise TraceError(f"file not found: {manifest_path}")
+    subcommand, config = _read_manifest(manifest_path)
+    if subcommand != "simulate":
+        raise ConfigError(f"{manifest_path}: a {subcommand!r} run; report reads a simulate run")
     try:
-        config = json.loads(manifest_path.read_text())["config"]
         n_b = config["n_buildings"]
         check_fields("", ScenarioConfig, {"n_buildings": n_b})
         mpc, buildings, traces = (build_section(name, config[name])
@@ -213,7 +226,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               for name, columns in COLUMNS.items() for i, column in enumerate(columns, start=1)}
 
     # the fleet's draw with n units ON, for n = 0..n_b: the left fold of n ratings
-    draws = dict(enumerate(accumulate([buildings.p_rate] * n_b, initial=0.0)))
+    draws = dict(enumerate([0.0, *np.add.accumulate(np.full(n_b, buildings.p_rate)).tolist()]))
     net = compute_net_pv(*(Trace(values=stored[header], unit="kW", step_seconds=traces.step_seconds)
                            for header in ("pv_kw", "noise_kw"))).values
     # NaN, which equals no stored value, where n_on is no count of units

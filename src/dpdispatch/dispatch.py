@@ -23,18 +23,17 @@ classify_step on the realized state.
 Every float sum is a left fold in a fixed order, so that outputs are
 bit-identical across builds and Python versions and a solver's reported cost
 equals a recomputation via cost() to the bit. Builtin sum() is avoided: from
-Python 3.12 it compensates float sums and rounds differently. The fleet sums
-of p_rate (must-ON and free draw, capacity, mean free rating) go through
-_left_sum, which starts at int 0 so an empty set sums to int 0, as sum() did.
-Every column's draw z(k) = sum_j u_j(k) * p_rate_j comes from one fold,
-_column_draws, which accumulates down the building axis in building order:
-cost(), _result (for both solvers) and solve_exact's tracking table (over
-the joint columns in itertools.product order, building 0 the most
-significant bit) call it, and the closed loop reads the applied column's
-draw from the solver's result. cost()'s comfort sums and each exact node's
-table sums accumulate the same way. Accumulate starts at the first
-building's term where a fold starts at 0.0; that changes no bit because no
-term is -0.0.
+Python 3.12 it compensates float sums and rounds differently. Every fleet
+draw is one fold, np.add.accumulate over a float64 ratings vector in
+building order. _fleet_draw folds a set of units (must-ON and free draw,
+capacity) and gives int 0, not 0.0, for no units, so flags.csv writes an
+empty set's draw as 0. _column_draws folds each column's u_j(k) * p_rate_j
+for cost(), _result (whose first draw the closed loop applies) and
+solve_exact's tracking table (joint columns in itertools.product order,
+building 0 the most significant bit); an OFF unit adds +0.0, so a column's
+draw is _fleet_draw of its ON units. cost()'s comfort sums and each exact
+node's table sums accumulate the same way. Accumulate starts at the first
+term where a fold starts at 0.0; no term is -0.0, so that changes no bit.
 The tracking residual d is squared as d * d everywhere, never with **,
 which CPython hands to the C library's pow.
 
@@ -48,9 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,13 +152,10 @@ def _effective_horizon(problem: DispatchProblem, config: MPCConfig) -> int:
     return min(config.horizon_np, len(problem.reference))
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """values summed left to right from int 0, so no values give int 0.
-
-    Builtin sum() gives the same up to Python 3.11; from 3.12 it compensates
-    float sums and rounds differently.
-    """
-    return reduce(add, values, 0)
+def _fleet_draw(ratings: np.ndarray) -> float:
+    """The ratings' left fold from int 0 (sum() up to Python 3.11) as a Python float."""
+    drawn = np.add.accumulate(ratings)
+    return drawn[-1].item() if drawn.size else 0
 
 
 def _column_draws(u: np.ndarray, p_rates: Sequence[float]) -> np.ndarray:
@@ -485,36 +479,29 @@ def solve_priority_heuristic(problem: DispatchProblem, config: MPCConfig) -> Dis
     lowest index.
     """
     n_p = _effective_horizon(problem, config)
-    n_b = problem.n_buildings
     models = problem.models
-    p_rates = [m.p_rate for m in models]
-    rate = p_rates.__getitem__
-    c_lo = config.comfort_min
+    p = np.array([m.p_rate for m in models])
     dist = problem.disturbance_forecast
-    u = np.zeros((n_b, n_p), dtype=np.int8)
+    u = np.zeros((len(models), n_p), dtype=np.int8)
     temps = problem.init_temps
 
     for k in range(n_p):
         t_out, q_sol = dist.t_out[k], dist.q_solar[k]
         must_on, _, free, _ = classify_step(models, temps, (t_out, q_sol), config)
-        forced_kw = _left_sum(map(rate, must_on))
-        residual = problem.reference[k] - forced_kw
+        residual = problem.reference[k] - _fleet_draw(p[must_on])
         if free:
-            mean_rate = _left_sum(map(rate, free)) / len(free)
+            mean_rate = _fleet_draw(p[free]) / len(free)
             target = int(np.floor(residual / mean_rate + 0.5))  # round-half-up
             target = max(0, min(len(free), target))
         else:
             target = 0
-        # hottest free units first: largest headroom above comfort_min, i.e.
-        # smallest c_lo - temp; the sort is stable and free is in index
-        # order, so ties go to the lowest index
-        ranked = sorted(free, key=lambda j: c_lo - temps[j])
-        col = [0.0] * n_b
-        for j in must_on:
-            col[j] = 1.0
-        for j in ranked[:target]:
-            col[j] = 1.0
-        u[:, k] = col
+        # hottest free units first: smallest comfort_min - temp; the argsort is
+        # stable and free is in index order, so ties go to the lowest index
+        free = np.array(free, dtype=np.intp)
+        headroom = config.comfort_min - np.array(temps)[free]
+        u[must_on, k] = 1
+        u[free[np.argsort(headroom, kind="stable")[:target]], k] = 1
+        col = u[:, k].astype(float).tolist()
         temps = [predict_temp(m, x, uj, t_out, q_sol) for m, x, uj in zip(models, temps, col)]
 
     return _result_from_schedule(problem, u, config)
@@ -569,10 +556,9 @@ def receding_horizon_run(
     except KeyError:
         raise ValueError(f"unknown solver {solver_choice!r}; expected one of {sorted(SOLVERS)}")
 
-    p_rates = [m.p_rate for m in models]
-    rate = p_rates.__getitem__
+    p = np.array([m.p_rate for m in models])
     raw_ref = reference.values
-    clamped = clamp_reference(raw_ref, _left_sum(p_rates))
+    clamped = clamp_reference(raw_ref, _fleet_draw(p))
 
     temps_hist = np.empty((n_b, n_steps))
     agg, n_on = [], []
@@ -599,8 +585,8 @@ def receding_horizon_run(
         must_on, _must_off, free, infeasible = classify_step(
             models, cur_temps, (t_out, q_sol), config
         )
-        must_on_kw.append(_left_sum(map(rate, must_on)))
-        free_kw.append(_left_sum(map(rate, free)))
+        must_on_kw.append(_fleet_draw(p[must_on]))
+        free_kw.append(_fleet_draw(p[free]))
         if infeasible:
             infeasible_steps.append(t)
 

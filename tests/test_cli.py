@@ -173,6 +173,37 @@ class TestNoiseCommand:
         assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_simulate_tree_refused_and_left_whole(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["simulate", "--n-buildings", "5", "--out", str(out)]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def never(*args, **kwargs):
+            raise AssertionError("noise built its trace for a refused --out")
+
+        monkeypatch.setattr("dpdispatch.cli.build_traces", never)
+        capsys.readouterr()
+        assert main(["noise", "--seed", "9", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds a simulate run; noise would mix a second run into it\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_unreadable_manifest_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("[]\n")
+        assert main(["noise", "--out", str(out)]) == EXIT_CONFIG
+        assert f"error: {out / 'manifest.json'}: not a run manifest: " in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+    def test_rerun_into_a_noise_tree(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["noise", "--seed", "9", "--out", str(out)]) == EXIT_OK
+        assert main(["noise", "--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["noise", "--out", str(a), "--seed", "7"])
@@ -611,6 +642,13 @@ class TestReportCommand:
             (out / "summary.csv").unlink()
             assert main(["report", "--out", str(out)]) == EXIT_OK
             assert (out / "summary.csv").read_bytes() == before
+
+    def test_noise_tree_refused_naming_its_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["noise", "--out", str(out)]) == EXIT_OK
+        assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.json'}: a 'noise' run; report reads a simulate run\n")
 
     def test_empty_directory_errors(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "missing")])

@@ -15,7 +15,7 @@ from dpdispatch.dispatch import (
     Schedule,
     SolverGuardError,
     _column_draws,
-    _left_sum,
+    _fleet_draw,
     _level_tables,
     classify_step,
     _result_from_schedule,
@@ -738,16 +738,37 @@ class TestColumnDraws:
 
 
 class TestLeftSum:
+    """_fleet_draw, the fold every fleet draw of the greedy solver and the loop takes."""
+
     def test_equals_explicit_left_fold(self):
         for k in range(51):
             acc = 0
             for v in [4.3] * k:
                 acc = acc + v
-            assert _left_sum([4.3] * k) == acc
+            assert _fleet_draw(np.full(k, 4.3)) == acc
 
     def test_empty_is_int_zero(self):
-        assert _left_sum([]) == 0
-        assert type(_left_sum([])) is int
+        assert _fleet_draw(np.array([])) == 0
+        assert type(_fleet_draw(np.array([]))) is int
+
+    @given(st.data())
+    def test_subset_fold_is_its_columns_draw(self, data):
+        # a unit set in index order, as classify_step lists must-ON and free units
+        p_rates = data.draw(st.lists(_RATING, min_size=1, max_size=40))
+        units = sorted(data.draw(st.sets(st.integers(0, len(p_rates) - 1))))
+        draw = _fleet_draw(np.array(p_rates)[units])
+        fold = 0
+        for j in units:
+            fold = fold + p_rates[j]
+        assert (type(draw) is int) == (not units)
+        if not units:
+            assert draw == 0
+            return
+        column = np.zeros((len(p_rates), 1), dtype=np.int8)
+        column[units] = 1
+        assert type(draw) is float
+        assert draw.hex() == fold.hex()  # bit for bit
+        assert draw.hex() == _column_draws(column, p_rates)[0].item().hex()
 
 
 class TestRecedingHorizon:
