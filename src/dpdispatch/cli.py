@@ -1,7 +1,6 @@
 """Command-line entry point.
 
 Subcommands:
-  noise     generate the privacy noise trace plus histogram and moment checks
   simulate  full pipeline: noise -> net reference -> receding-horizon dispatch
   report    regenerate summary.csv from a stored run directory
 
@@ -25,8 +24,8 @@ from dpdispatch.dispatch import SOLVERS, SolverGuardError, clamp_reference, rece
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
 from dpdispatch.scenario import (ConfigError, ScenarioConfig, build_section, build_simulation,
-                                 build_traces, check_fields, load_config)
-from dpdispatch.traces import Trace, TraceError, read_table, save_trace, write_csv
+                                 check_fields, load_config)
+from dpdispatch.traces import Trace, TraceError, read_table, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,7 +43,7 @@ class Column(NamedTuple):
     """
 
     header: str
-    value: Callable[[RunReport, tuple[float, float]], Iterable] | None
+    value: Callable[[RunReport, tuple[float, float]], Iterable]
     text: str | None = None
 
 
@@ -63,8 +62,7 @@ COLUMNS = {
                "{} from temperatures.csv"),
     ),
     "pv.csv": (Column("pv_kw", lambda r, band: r.pv_kw),),
-    # written by save_trace, which the noise command shares
-    "noise.csv": (Column("noise_kw", None),),
+    "noise.csv": (Column("noise_kw", lambda r, band: r.noise_kw),),
     "flags.csv": (
         Column("ref_unclamped_kw", lambda r, band: r.unclamped_reference_kw,
                "pv_kw - noise_kw = {}"),
@@ -94,7 +92,7 @@ def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
     return {
         "tool": "dpdispatch",
         "subcommand": args.command,
-        "solver": getattr(args, "solver", None),
+        "solver": args.solver,
         "config": dataclasses.asdict(cfg),
     }
 
@@ -108,23 +106,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _read_manifest(path: Path) -> tuple[object, object]:
-    """A run manifest's subcommand and config; ConfigError unless path holds one."""
-    try:
-        manifest = json.loads(path.read_text())
-        return manifest["subcommand"], manifest["config"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: not a run manifest: {exc!r}") from None
-
-
-def _noise_for(pv: Trace, cfg: ScenarioConfig) -> Trace:
-    """The run's noise: one value per PV step."""
-    return generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
-
-
-def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
+def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)  # only once the run's inputs are built
-    save_trace(noise, out / "noise.csv", COLUMNS["noise.csv"][0].header)
+    band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
+    for name, columns in COLUMNS.items():
+        write_csv(out / name, _header(name), zip(
+            range(report.n_steps), *(column.value(report, band) for column in columns)))
+    noise = Trace(values=report.noise_kw, unit="kW", step_seconds=report.step_seconds)
     counts, edges = metrics.noise_histogram(noise, n_bins=40)
     centers = (edges[:-1] + edges[1:]) / 2.0
     write_csv(out / "noise_histogram.csv", ["bin_center", "count"],
@@ -137,28 +125,6 @@ def _emit_noise_files(noise: Trace, cfg: ScenarioConfig, out: Path) -> None:
           "undefined" if moments["variance"] is None else moments["variance"],
           moments["expected_variance"]]],
     )
-
-
-def cmd_noise(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    manifest = out / "manifest.json"  # a simulate tree's noise files are its run's
-    if manifest.is_file() and _read_manifest(manifest)[0] == "simulate":
-        raise ConfigError(f"--out {out} holds a simulate run; noise would mix a second run into it")
-    cfg = _load(args)
-    _, pv = build_traces(cfg)
-    noise = _noise_for(pv, cfg)
-    _emit_noise_files(noise, cfg, out)
-    (out / "manifest.json").write_text(json.dumps(_manifest(cfg, args), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(noise)}-step noise trace to {out / 'noise.csv'}")
-    return EXIT_OK
-
-
-def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
-    band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
-    for name, columns in COLUMNS.items():
-        if name != "noise.csv":
-            write_csv(out / name, _header(name), zip(
-                range(report.n_steps), *(column.value(report, band) for column in columns)))
     write_csv(
         out / "temperatures.csv",
         _temperatures_header(report.temps.shape[0]),
@@ -173,7 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     cfg = _load(args)
     models, init_temps, disturbances, pv = build_simulation(cfg)
-    noise = _noise_for(pv, cfg)
+    noise = generate_noise_trace(cfg.dp, len(pv), cfg.traces.step_seconds)
     net = compute_net_pv(pv, noise)
 
     report = receding_horizon_run(
@@ -181,7 +147,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         solver_choice=args.solver, pv=pv, noise_kw=noise.values,
     )
 
-    _emit_noise_files(noise, cfg, out)
     summary = _emit_run_files(report, cfg, out)
     (out / "manifest.json").write_text(json.dumps(_manifest(cfg, args), indent=2, sort_keys=True) + "\n")
 
@@ -204,10 +169,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise TraceError(f"file not found: {manifest_path}")
-    subcommand, config = _read_manifest(manifest_path)
-    if subcommand != "simulate":
-        raise ConfigError(f"{manifest_path}: a {subcommand!r} run; report reads a simulate run")
     try:
+        config = json.loads(manifest_path.read_text())["config"]
         n_b = config["n_buildings"]
         check_fields("", ScenarioConfig, {"n_buildings": n_b})
         mpc, buildings, traces = (build_section(name, config[name])
@@ -262,7 +225,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     overrides = {}
     for key in ("seed", "epsilon", "horizon", "n_buildings"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             overrides[key] = val
     return load_config(args.config, overrides)
@@ -275,18 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=str, default=None, help="YAML scenario configuration")
-        p.add_argument("--out", type=str, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--epsilon", type=float, default=None, help="privacy budget override")
-
-    p_noise = sub.add_parser("noise", help="generate the privacy noise artifacts")
-    common(p_noise)
-    p_noise.set_defaults(func=cmd_noise)
-
     p_sim = sub.add_parser("simulate", help="run the full closed-loop pipeline")
-    common(p_sim)
+    p_sim.add_argument("--config", type=str, default=None, help="YAML scenario configuration")
+    p_sim.add_argument("--out", type=str, required=True, help="output directory")
+    p_sim.add_argument("--seed", type=int, default=None, help="master seed override")
+    p_sim.add_argument("--epsilon", type=float, default=None, help="privacy budget override")
     p_sim.add_argument("--horizon", type=int, default=None, help="MPC prediction horizon override")
     p_sim.add_argument("--n-buildings", dest="n_buildings", type=int, default=None)
     p_sim.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")

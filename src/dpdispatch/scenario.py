@@ -119,7 +119,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_buildings < 1:
             raise ConfigError("n_buildings must be at least 1")
-        # here, not in _sub_seed: noise with a set dp.seed and CSV traces derives no stream
+        # here, not in _sub_seed: refused when built, whichever streams the caller derives
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.horizon_steps < 1:
@@ -172,7 +172,10 @@ def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text())
+        try:
+            loaded = yaml.safe_load(path.read_text())
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not a YAML config: {exc}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -112,106 +112,6 @@ def shift_with_residual(line_no, col, delta):
     return edit_line("results.csv", line_no, edit)
 
 
-class TestNoiseCommand:
-    def test_writes_432_row_trace(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["noise", "--out", str(out)]) == EXIT_OK
-        rows = read_rows(out / "noise.csv")
-        assert len(rows) == 432
-        assert (out / "noise_histogram.csv").exists()
-        assert (out / "noise_moments.csv").exists()
-
-    def test_epsilon_override_rescales(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["noise", "--out", str(a), "--seed", "1"])
-        main(["noise", "--out", str(b), "--seed", "1", "--epsilon", "1"])
-        va = [float(r["noise_kw"]) for r in read_rows(a / "noise.csv")]
-        vb = [float(r["noise_kw"]) for r in read_rows(b / "noise.csv")]
-        # same seed, scale shrinks from 10 to 1
-        for x, y in zip(va, vb):
-            assert y == pytest.approx(x / 10.0, rel=1e-12)
-
-    # flags that set only what simulate uses are usage errors, not ignored
-    @pytest.mark.parametrize("flag", ["--horizon", "--n-buildings"])
-    def test_simulate_flags_are_refused(self, tmp_path, flag):
-        assert main(["noise", "--out", str(tmp_path / "r"), flag, "3"]) == EXIT_CONFIG
-        assert not (tmp_path / "r").exists()
-
-    def test_default_trace_is_the_code_built_configs(self, tmp_path):
-        # the default run and ScenarioConfig() draw the same noise
-        assert main(["noise", "--out", str(tmp_path / "run")]) == EXIT_OK
-        save_trace(generate_noise_trace(ScenarioConfig().dp, 432), tmp_path / "code.csv", "noise_kw")
-        assert (tmp_path / "run" / "noise.csv").read_bytes() == (tmp_path / "code.csv").read_bytes()
-
-    def test_noise_files_are_simulates(self, tmp_path, csv_traces_config):
-        for command in ("noise", "simulate"):
-            argv = [command, "--config", csv_traces_config, "--out", str(tmp_path / command)]
-            assert main(argv) == EXIT_OK
-        assert len(read_rows(tmp_path / "noise" / "noise.csv")) == 100
-        for name in ("noise.csv", "noise_histogram.csv", "noise_moments.csv"):
-            assert ((tmp_path / "noise" / name).read_bytes()
-                    == (tmp_path / "simulate" / name).read_bytes()), name
-
-    def test_builds_no_fleet(self, tmp_path, monkeypatch):
-        assert main(["noise", "--out", str(tmp_path / "a")]) == EXIT_OK
-
-        def no_fleet(*args, **kwargs):
-            raise AssertionError("noise built a thermal model")
-
-        monkeypatch.setattr("dpdispatch.scenario.discretize", no_fleet)
-        assert main(["noise", "--out", str(tmp_path / "b")]) == EXIT_OK
-        for name in ("noise.csv", "noise_histogram.csv", "noise_moments.csv", "manifest.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_negative_seed_refused_when_no_stream_is_derived(self, tmp_path, csv_traces_config,
-                                                            capsys):
-        # a set noise seed and CSV traces: noise derives no stream from the master seed
-        with open(csv_traces_config, "a") as fh:
-            fh.write("seed: -1\ndp:\n  seed: 5\n")
-        argv = ["noise", "--config", csv_traces_config, "--out", str(tmp_path / "r")]
-        assert main(argv) == EXIT_CONFIG
-        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
-    def test_simulate_tree_refused_and_left_whole(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "run"
-        assert main(["simulate", "--n-buildings", "5", "--out", str(out)]) == EXIT_OK
-        before = {path.name: path.read_bytes() for path in out.iterdir()}
-
-        def never(*args, **kwargs):
-            raise AssertionError("noise built its trace for a refused --out")
-
-        monkeypatch.setattr("dpdispatch.cli.build_traces", never)
-        capsys.readouterr()
-        assert main(["noise", "--seed", "9", "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: --out {out} holds a simulate run; noise would mix a second run into it\n")
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-        assert main(["report", "--out", str(out)]) == EXIT_OK
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-
-    def test_unreadable_manifest_refused(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / "manifest.json").write_text("[]\n")
-        assert main(["noise", "--out", str(out)]) == EXIT_CONFIG
-        assert f"error: {out / 'manifest.json'}: not a run manifest: " in capsys.readouterr().err
-        assert [path.name for path in out.iterdir()] == ["manifest.json"]
-
-    def test_rerun_into_a_noise_tree(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["noise", "--seed", "9", "--out", str(out)]) == EXIT_OK
-        assert main(["noise", "--seed", "7", "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
-
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["noise", "--out", str(a), "--seed", "7"])
-        main(["noise", "--out", str(b), "--seed", "7"])
-        for name in ("noise.csv", "noise_histogram.csv", "noise_moments.csv", "manifest.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
 class TestSimulateCommand:
     def test_small_greedy_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -331,6 +231,23 @@ class TestSimulateCommand:
         assert rc == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_epsilon_override_rescales(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["simulate", "--n-buildings", "1", "--seed", "1"]
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--out", str(b), "--epsilon", "1"]) == EXIT_OK
+        va = [float(r["noise_kw"]) for r in read_rows(a / "noise.csv")]
+        vb = [float(r["noise_kw"]) for r in read_rows(b / "noise.csv")]
+        # same seed, scale shrinks from 10 to 1
+        for x, y in zip(va, vb):
+            assert y == pytest.approx(x / 10.0, rel=1e-12)
+
+    def test_default_trace_is_the_code_built_configs(self, tmp_path):
+        # the default run and ScenarioConfig() draw the same noise
+        assert main(["simulate", "--n-buildings", "1", "--out", str(tmp_path / "run")]) == EXIT_OK
+        save_trace(generate_noise_trace(ScenarioConfig().dp, 432), tmp_path / "code.csv", "noise_kw")
+        assert (tmp_path / "run" / "noise.csv").read_bytes() == (tmp_path / "code.csv").read_bytes()
+
     # a fleet that does not cool, or a jitter that could flip or zero a and b
     @pytest.mark.parametrize("buildings, field", [
         ("b: 6.0", "buildings.b"), ("b: 0.0", "buildings.b"),
@@ -346,9 +263,11 @@ class TestSimulateCommand:
         assert rc == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
-    # values that escaped main as a TypeError, were truncated, or gave a
-    # negative PV trace; the n_buildings cases take the file's fleet size
+    # values that escaped main as a TypeError or a YAML parser error, were
+    # truncated, or gave a negative PV trace; the n_buildings cases take the
+    # file's fleet size
     @pytest.mark.parametrize("text, field", [
+        ("n_buildings: [1\n", "cfg.yaml: not a YAML config: while parsing a flow sequence"),
         ("dp:\n  seed: 1.5\n", "dp.seed"),
         ("dp:\n  seed: 2.0\n", "dp.seed"),
         ("mpc:\n  horizon_np: 2.5\n", "mpc.horizon_np"),
@@ -393,8 +312,8 @@ class TestSimulateCommand:
         ("mpc:\n  weight_r: -1\n", "error: mpc.weight_r must be nonnegative, got -1"),
         ("mpc:\n  comfort_min: 24.0\n", "error: mpc.comfort_min must be below mpc.comfort_max"),
         ("mpc:\n  setpoint_xr: 25.0\n", "error: mpc.setpoint_xr must lie inside the comfort band"),
-    ], ids=["dp-seed-fraction", "dp-seed-float", "horizon-fraction", "horizon-float",
-            "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
+    ], ids=["yaml-syntax-error", "dp-seed-fraction", "dp-seed-float", "horizon-fraction",
+            "horizon-float", "n-buildings-fraction", "n-buildings-float", "seed-fraction", "days-fraction",
             "step-seconds-float", "cloud-above-one", "cloud-negative", "pv-peak-negative",
             "jitter-exponent-text", "weather-mean-exponent-text", "p-rate-string",
             "pv-csv-int", "weather-csv-bool", "pv-csv-missing", "epsilon-bool", "g-temp-nan",
@@ -425,12 +344,12 @@ class TestOutRefusedUpFront:
     before any run input is built, and nothing is written."""
 
     @pytest.mark.parametrize("kind", ["file", "under-file", "dangling-link"])
-    @pytest.mark.parametrize("command", ["noise", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_refused_before_the_run(self, tmp_path, capsys, monkeypatch, command, kind):
         def never(*args, **kwargs):
             raise AssertionError("run inputs built for a refused --out")
 
-        for name in ("build_traces", "build_simulation", "receding_horizon_run"):
+        for name in ("build_simulation", "receding_horizon_run"):
             monkeypatch.setattr(f"dpdispatch.cli.{name}", never)
         taken = tmp_path / "taken"
         if kind == "dangling-link":  # mkdir cannot make a directory there either
@@ -536,6 +455,8 @@ class TestReportCommand:
     @pytest.mark.parametrize("mutate, named", [
         (drop_manifest_mpc, "manifest.json"),
         (truncate("manifest.json"), "manifest.json"),
+        (lambda out: (out / "manifest.json").write_text("[]\n"),
+         "manifest.json: not a run manifest: TypeError("),
         (truncate("temperatures.csv", keep_lines=50), "temperatures.csv"),
         (edit_line("temperatures.csv", 3, lambda line: line.rsplit(",", 1)[0] + "\n"),
          "temperatures.csv"),
@@ -572,7 +493,8 @@ class TestReportCommand:
         (shift_with_residual(9, 1, 1.0), "results.csv: ref_kw at step 8 is 1.0, expected 0.0 from"),
         (shift_with_residual(10, 2, 2.0), "results.csv: agg_kw at step 9 is 12.0, expected 10.0 from"),
     ], ids=[
-        "manifest-without-mpc", "manifest-truncated", "temperatures-truncated", "temperatures-short-row",
+        "manifest-without-mpc", "manifest-truncated", "manifest-not-an-object",
+        "temperatures-truncated", "temperatures-short-row",
         "results-truncated-lines", "results-truncated-bytes", "noise-truncated",
         "flags-truncated-bytes", "flags-non-numeric", "results-renamed-column",
         "results-nan-cell", "pv-step-gap", "temperatures-building-dropped",
@@ -642,13 +564,6 @@ class TestReportCommand:
             (out / "summary.csv").unlink()
             assert main(["report", "--out", str(out)]) == EXIT_OK
             assert (out / "summary.csv").read_bytes() == before
-
-    def test_noise_tree_refused_naming_its_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["noise", "--out", str(out)]) == EXIT_OK
-        assert main(["report", "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: {out / 'manifest.json'}: a 'noise' run; report reads a simulate run\n")
 
     def test_empty_directory_errors(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "missing")])

@@ -180,6 +180,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("data, reason", [
+        (b"n_buildings: [1\n", "while parsing a flow sequence"),
+        (b"seed: 5\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["yaml-syntax-error", "not-utf-8"])
+    def test_unreadable_config_named(self, tmp_path, data, reason):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not a YAML config: {reason}")):
+            load_config(path)
+
     def test_code_built_default_is_the_loaded_default(self):
         assert ScenarioConfig() == load_config(None)
 
@@ -201,7 +211,7 @@ class TestConfig:
         assert load_config(path) == ScenarioConfig(seed=5)
 
     def test_config_dict_is_complete(self, tmp_path):
-        assert main(["noise", "--out", str(tmp_path)]) == 0
+        assert main(["simulate", "--n-buildings", "1", "--out", str(tmp_path)]) == 0
         d = json.loads((tmp_path / "manifest.json").read_text())["config"]
         cfg = load_config(None)
         assert set(d) == {f.name for f in dataclasses.fields(cfg)}
