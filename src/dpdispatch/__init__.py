@@ -40,7 +40,6 @@ from dpdispatch.metrics import (
     RunReport,
     comfort_violation_count,
     noise_histogram,
-    noise_moment_check,
     residual_vs_intended_noise,
     tracking_rmse,
 )

@@ -112,19 +112,6 @@ def _emit_run_files(report: RunReport, cfg: ScenarioConfig, out: Path) -> dict:
     for name, columns in COLUMNS.items():
         write_csv(out / name, _header(name), zip(
             range(report.n_steps), *(column.value(report, band) for column in columns)))
-    noise = Trace(values=report.noise_kw, unit="kW", step_seconds=report.step_seconds)
-    counts, edges = metrics.noise_histogram(noise, n_bins=40)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    write_csv(out / "noise_histogram.csv", ["bin_center", "count"],
-              zip(centers.tolist(), counts.tolist()))
-    moments = metrics.noise_moment_check(noise, cfg.dp)
-    write_csv(
-        out / "noise_moments.csv",
-        ["n", "mean", "variance", "expected_variance"],
-        [[moments["n"], moments["mean"],
-          "undefined" if moments["variance"] is None else moments["variance"],
-          moments["expected_variance"]]],
-    )
     write_csv(
         out / "temperatures.csv",
         _temperatures_header(report.temps.shape[0]),

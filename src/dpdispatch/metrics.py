@@ -1,4 +1,4 @@
-"""Run-level statistics: tracking error, comfort violations, noise checks.
+"""Run-level statistics: tracking error, comfort violations, the noise histogram.
 
 All functions are pure and operate on an immutable RunReport, assembled by
 the closed-loop driver or, from the stored run files, by `report`.
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpdispatch.privacy import DPParams, laplace_scale
 from dpdispatch.traces import Trace
 
 COMFORT_TOL = 1e-9  # band membership slack in degC
@@ -98,18 +97,6 @@ def noise_histogram(noise: Trace, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     # by one unit so all mass still lands in a single bin.
     counts, edges = np.histogram(values, bins=n_bins)
     return counts, edges
-
-
-def noise_moment_check(noise: Trace, params: DPParams) -> dict:
-    """Sample mean/variance next to the analytic Laplace variance 2 lambda^2."""
-    values = np.asarray(noise.values)
-    scale = laplace_scale(params)
-    return {
-        "n": int(values.size),
-        "mean": float(values.mean()),
-        "variance": float(values.var(ddof=1)) if values.size > 1 else None,
-        "expected_variance": 2.0 * scale**2,
-    }
 
 
 def residual_vs_intended_noise(report: RunReport) -> dict:

@@ -49,24 +49,21 @@ class Trace:
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write a header row, then each row of `rows`, as they come.
 
-    Integers and strings are written as they are; every other value is
-    written as repr(float(v)), the shortest string that reads back exactly.
-    A row whose cells are all exactly int or float is joined directly, as
-    the comma-joined repr of its cells and a CRLF; that is the line
-    csv.writer writes for it, since such a cell never needs quoting. Any
-    other row (a str, bool or numpy scalar among its cells) goes through
-    csv.writer. `rows` may be a generator; no row is kept after it is
-    written.
+    Each line is its cells joined by commas, then a CRLF. Header cells are
+    written as they are. A row cell must be exactly an int or a float and is
+    written as its repr, the shortest string that reads back exactly; such a
+    cell never needs CSV quoting. Any other cell (a str, bool or numpy
+    scalar) raises TypeError naming the file. `rows` may be a generator; no
+    row is kept after it is written.
     """
     numeric = {int, float}.issuperset
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            if numeric(map(type, row)):
-                fh.write(",".join(map(repr, row)) + "\r\n")
-            else:
-                writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
+            if not numeric(map(type, row)):
+                bad = next(v for v in row if type(v) not in (int, float))
+                raise TypeError(f"{path}: cell {bad!r} is a {type(bad).__name__}, not an int or float")
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def save_trace(trace: Trace, path: str | Path, value_header: str) -> None:

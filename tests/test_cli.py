@@ -20,6 +20,12 @@ from dpdispatch.scenario import ScenarioConfig
 from dpdispatch.traces import save_trace
 
 
+# every file of a simulate tree: report reads and checks all but summary.csv,
+# which it regenerates
+RUN_TREE = ["flags.csv", "manifest.json", "noise.csv", "pv.csv", "results.csv",
+            "summary.csv", "temperatures.csv"]
+
+
 def small_config(tmp_path, days=1):
     path = tmp_path / "cfg.yaml"
     path.write_text(
@@ -172,14 +178,16 @@ class TestSimulateCommand:
             with open(out / name, newline="") as fh:
                 assert next(csv.reader(fh)) == ["step"] + [c.header for c in COLUMNS[name]]
 
-    def test_tree_has_no_byte_copies(self, tmp_path):
+    @pytest.mark.parametrize("solver_argv", [
+        ["--solver", "greedy"],
+        ["--solver", "exact", "--n-buildings", "2", "--horizon", "4"],
+    ], ids=["greedy", "exact"])
+    def test_tree_has_no_byte_copies(self, tmp_path, solver_argv):
         out = tmp_path / "run"
-        main(["simulate", "--config", small_config(tmp_path), "--out", str(out)])
+        assert main(["simulate", "--config", small_config(tmp_path), "--out", str(out),
+                     *solver_argv]) == EXIT_OK
         entries = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
-        assert entries == [
-            "flags.csv", "manifest.json", "noise.csv", "noise_histogram.csv",
-            "noise_moments.csv", "pv.csv", "results.csv", "summary.csv", "temperatures.csv",
-        ]
+        assert entries == RUN_TREE
         files = {name: (out / name).read_bytes() for name in entries}
         for a, b in itertools.combinations(sorted(files), 2):
             assert files[a] != files[b], f"{a} and {b} are byte-identical"
@@ -217,9 +225,21 @@ class TestSimulateCommand:
         assert sum(int(row["infeasible"]) for row in flags) == 77
         names = sorted(p.name for p in (tmp_path / "plain").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "strict").iterdir())
-        assert len(names) == 9
+        assert names == RUN_TREE
         for name in names:
             assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "strict" / name).read_bytes()
+
+    def test_vanishing_epsilon_writes_a_tree_report_reproduces(self, tmp_path):
+        # at epsilon 1e-300 the Laplace scale is 1e300 kW, whose square
+        # overflows a float
+        out = tmp_path / "run"
+        assert main(["simulate", "--n-buildings", "2", "--epsilon", "1e-300",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == RUN_TREE
+        before = (out / "summary.csv").read_bytes()
+        (out / "summary.csv").unlink()
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        assert (out / "summary.csv").read_bytes() == before
 
     def test_strict_passes_a_run_with_no_flagged_step(self, tmp_path):
         out = tmp_path / "run"

@@ -6,7 +6,6 @@ from dpdispatch.metrics import (
     comfort_violation_count,
     comfort_violations_per_step,
     noise_histogram,
-    noise_moment_check,
     residual_vs_intended_noise,
     summarize,
     tracking_rmse,
@@ -100,22 +99,6 @@ class TestNoiseHistogram:
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             noise_histogram(Trace(values=(1.0,), unit="kW", step_seconds=600), n_bins=0)
-
-
-class TestNoiseMoments:
-    PARAMS = DPParams(epsilon=0.1, sensitivity=1.0, seed=3)
-
-    def test_expected_variance(self):
-        out = noise_moment_check(generate_noise_trace(self.PARAMS, 100), self.PARAMS)
-        assert out["expected_variance"] == 200.0
-
-    def test_single_element_undefined_variance(self):
-        out = noise_moment_check(Trace(values=(1.0,), unit="kW", step_seconds=600), self.PARAMS)
-        assert out["variance"] is None
-
-    def test_large_sample_variance(self):
-        out = noise_moment_check(generate_noise_trace(self.PARAMS, 10**6), self.PARAMS)
-        assert abs(out["variance"] - 200.0) <= 0.05 * 200.0
 
 
 class TestResidualVsIntendedNoise:

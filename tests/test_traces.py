@@ -7,6 +7,7 @@ import math
 import re
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpdispatch.traces import TraceError, read_table, write_csv
@@ -162,28 +163,34 @@ def test_undecodable_byte_named_wherever_it_sits(tmp_path):
 
 
 def csv_writer_text(header, rows):
-    """What csv.writer writes for the rows under write_csv's cell rule."""
+    """What csv.writer writes for the rows, each cell as its repr."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
+        writer.writerow(map(repr, row))
     return buf.getvalue()
 
 
 def test_write_csv_bytes_equal_csv_writer_on_edge_rows(tmp_path):
-    # rows of exact ints and floats take the joined path, every other row
-    # csv.writer; both must give csv.writer's bytes
     rows = [
         [0, 0.0, -0.0, math.nan, math.inf, -math.inf],
         (1, 1e16, -1e16, 1e-05, 5e-324, -5e-324, 2**70, -(2**70)),
         [2, *EDGE_FLOATS],
-        [3, True, False, 0.5],
-        [4, np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.int64(7), np.bool_(True)],
-        [5, "a,b", 'say "hi"', '"', ",", "", 1.5],
         [],
         [6],
     ]
     path = tmp_path / "edge.csv"
     write_csv(path, ["step", "x"], (row for row in rows))
     assert path.read_bytes() == csv_writer_text(["step", "x"], rows).encode()
+
+
+@pytest.mark.parametrize("row", [
+    [3, True, False, 0.5],
+    [4, np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.int64(7), np.bool_(True)],
+    [5, "a,b", 'say "hi"', '"', ",", "", 1.5],
+], ids=["bool", "numpy-scalar", "str"])
+def test_write_csv_refuses_other_cells(tmp_path, row):
+    path = tmp_path / "edge.csv"
+    with pytest.raises(TypeError, match=f"^{re.escape(str(path))}: cell .* not an int or float$"):
+        write_csv(path, ["step", "x"], [[0, 1.0], row])
