@@ -47,10 +47,10 @@ class Column(NamedTuple):
     text: str | None = None
 
 
-# Each per-step run file's columns after `step`, in file order. `report` names
-# the first column in this order whose check fails. An edited cell of a checked
-# column fails that column's check alone, but an n_on edited to another count
-# fails agg_kw's.
+# Each per-step run file's columns after `step`, in file order. Once must_on_kw
+# and free_kw hold draws of unit counts, `report` names the first column in this
+# order whose check fails. An edited cell of a checked column fails that
+# column's check alone, but an n_on edited to another count fails agg_kw's.
 COLUMNS = {
     "results.csv": (
         Column("ref_kw", lambda r, band: r.reference_kw,
@@ -179,6 +179,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     draws = dict(enumerate([0.0, *np.add.accumulate(np.full(n_b, buildings.p_rate)).tolist()]))
     net = compute_net_pv(*(Trace(values=stored[header], unit="kW", step_seconds=traces.step_seconds)
                            for header in ("pv_kw", "noise_kw"))).values
+    # must_on_kw and free_kw are the draws of two counts of units that sum to at most n_b
+    counts, left = {kw: n for n, kw in draws.items()}, np.full(len(net), n_b)
+    for header in ("must_on_kw", "free_kw"):
+        count = np.array([counts.get(kw, n_b + 1) for kw in stored[header]])
+        bad = count > left
+        if bad.any():
+            k = int(bad.argmax())
+            raise TraceError(f"{out / 'flags.csv'}: {header} at step {k} is {stored[header][k]}, "
+                             f"expected the draw of at most {left[k]} units of buildings.p_rate")
+        left -= count
     # NaN, which equals no stored value, where n_on is no count of units
     n_on = [n if n in draws else np.nan for n in stored["n_on"]]
     report = RunReport(

@@ -20,6 +20,8 @@ from dpdispatch.traces import Trace
 
 # Tolerance absorbing float round-off in the e^epsilon ratio comparison.
 _RATIO_SLACK = 1e-12
+# The largest |draw| _inverse_cdf returns, per unit of scale: ln(1 / tiny).
+_MAX_DRAW_PER_SCALE = -float(np.log(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,9 @@ class DPParams:
         for name, value in (("epsilon", self.epsilon), ("sensitivity", self.sensitivity)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"dp.{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.sensitivity / self.epsilon * _MAX_DRAW_PER_SCALE):
+            raise ValueError(f"dp.sensitivity / dp.epsilon = {self.sensitivity} / {self.epsilon}: "
+                             "the Laplace scale or its largest draw overflows a float")
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise ValueError("dp.seed must be a 64-bit unsigned integer")
 

@@ -66,11 +66,6 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
             fh.write(",".join(map(repr, row)) + "\r\n")
 
 
-def save_trace(trace: Trace, path: str | Path, value_header: str) -> None:
-    """Write a trace as CSV `step,<value_header>` with round-trip precision."""
-    write_csv(path, ["step", value_header], enumerate(trace.values))
-
-
 def read_table(path: str | Path, header: list[str] | None = None) -> tuple[list[str], np.ndarray]:
     """A numeric `step,...` CSV as (header, one float row per data line).
 

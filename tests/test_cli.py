@@ -17,7 +17,7 @@ from dpdispatch.cli import (COLUMNS, EXIT_CONFIG, EXIT_GUARD, EXIT_INFEASIBLE, E
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import generate_noise_trace
 from dpdispatch.scenario import ScenarioConfig
-from dpdispatch.traces import save_trace
+from dpdispatch.traces import write_csv
 
 
 # every file of a simulate tree: report reads and checks all but summary.csv,
@@ -241,6 +241,14 @@ class TestSimulateCommand:
         assert main(["report", "--out", str(out)]) == EXIT_OK
         assert (out / "summary.csv").read_bytes() == before
 
+    def test_overflowing_epsilon_refused_naming_it(self, tmp_path, capsys):
+        # 1e-320 is positive and finite, but 1 / 1e-320 overflows a float
+        out = tmp_path / "run"
+        assert main(["simulate", "--n-buildings", "2", "--epsilon", "1e-320",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "error: dp.sensitivity / dp.epsilon = 1.0 / 1e-320" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strict_passes_a_run_with_no_flagged_step(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--n-buildings", "5", "--out", str(out), "--strict"]) == EXIT_OK
@@ -265,7 +273,8 @@ class TestSimulateCommand:
     def test_default_trace_is_the_code_built_configs(self, tmp_path):
         # the default run and ScenarioConfig() draw the same noise
         assert main(["simulate", "--n-buildings", "1", "--out", str(tmp_path / "run")]) == EXIT_OK
-        save_trace(generate_noise_trace(ScenarioConfig().dp, 432), tmp_path / "code.csv", "noise_kw")
+        noise = generate_noise_trace(ScenarioConfig().dp, 432)
+        write_csv(tmp_path / "code.csv", ["step", "noise_kw"], enumerate(noise.values))
         assert (tmp_path / "run" / "noise.csv").read_bytes() == (tmp_path / "code.csv").read_bytes()
 
     # a fleet that does not cool, or a jitter that could flip or zero a and b
@@ -327,6 +336,7 @@ class TestSimulateCommand:
         ("buildings:\n  p_rate: 0\n", "error: buildings.p_rate must be positive, got 0"),
         ("dp:\n  epsilon: 0\n", "error: dp.epsilon must be positive and finite, got 0"),
         ("dp:\n  sensitivity: -1.0\n", "error: dp.sensitivity must be positive and finite"),
+        ("dp:\n  sensitivity: 1.0e+308\n", "error: dp.sensitivity / dp.epsilon = 1e+308 / 0.1"),
         ("mpc:\n  horizon_np: 0\n", "error: mpc.horizon_np must be at least 1, got 0"),
         ("mpc:\n  weight_q: -1\n", "error: mpc.weight_q must be nonnegative, got -1"),
         ("mpc:\n  weight_r: -1\n", "error: mpc.weight_r must be nonnegative, got -1"),
@@ -340,6 +350,7 @@ class TestSimulateCommand:
             "g-solar-inf", "weight-r-inf", "step-seconds-zero", "step-seconds-negative", "days-zero",
             "step-longer-than-run", "dp-delta", "unknown-top-level-keys", "seed-negative",
             "dp-seed-negative", "a-positive", "p-rate-zero", "epsilon-zero", "sensitivity-negative",
+            "sensitivity-overflows",
             "horizon-zero", "weight-q-negative", "weight-r-negative", "comfort-band-empty",
             "setpoint-outside-band"])
     def test_bad_scenario_value_exits_one(self, tmp_path, capsys, text, field):
@@ -512,6 +523,16 @@ class TestReportCommand:
         # step 8 is clamped to 0; the edits keep residual_kw = agg_kw - ref_kw
         (shift_with_residual(9, 1, 1.0), "results.csv: ref_kw at step 8 is 1.0, expected 0.0 from"),
         (shift_with_residual(10, 2, 2.0), "results.csv: agg_kw at step 9 is 12.0, expected 10.0 from"),
+        # buildings.p_rate is 5.0 and n_buildings 4; step 1 draws 5.0 must-ON
+        # and 0 free, step 5 5.0 and 0, step 8 0 and 10.0
+        (set_cell("flags.csv", 6, 4, "7.25"),
+         "flags.csv: must_on_kw at step 5 is 7.25, expected the draw of at most 4 units of"),
+        (set_cell("flags.csv", 9, 5, "2.5"),
+         "flags.csv: free_kw at step 8 is 2.5, expected the draw of at most 4 units of"),
+        (set_cell("flags.csv", 2, 4, "25.0"),
+         "flags.csv: must_on_kw at step 1 is 25.0, expected the draw of at most 4 units of"),
+        (set_cell("flags.csv", 2, 5, "20.0"),
+         "flags.csv: free_kw at step 1 is 20.0, expected the draw of at most 3 units of"),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "manifest-not-an-object",
         "temperatures-truncated", "temperatures-short-row",
@@ -524,7 +545,8 @@ class TestReportCommand:
         "flags-ref-clamped-flipped", "flags-target-clipped-flipped",
         "pv-undecodable-cell", "pv-undecodable-header", "flags-ref-unclamped-edited",
         "manifest-comfort-min-string", "manifest-comfort-max-null", "manifest-comfort-min-nan",
-        "results-ref-kw-edited", "results-agg-kw-edited",
+        "results-ref-kw-edited", "results-agg-kw-edited", "flags-must-on-off-lattice",
+        "flags-free-off-lattice", "flags-must-on-above-fleet", "flags-counts-above-fleet",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"

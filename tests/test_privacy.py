@@ -13,7 +13,7 @@ from dpdispatch.privacy import (
     laplace_scale,
     mechanism_expected_squared_error,
 )
-from dpdispatch.traces import Trace, save_trace
+from dpdispatch.traces import Trace, write_csv
 
 
 class TestDPParams:
@@ -22,6 +22,17 @@ class TestDPParams:
             DPParams(epsilon=0.0)
         with pytest.raises(ValueError):
             DPParams(epsilon=-1.0)
+
+    # ln(1 / tiny) = 708.4 scales is the largest draw: 2.5e305 kW of scale
+    # keeps it finite, 2.6e305 does not, and 1 / 1e-320 overflows outright
+    @pytest.mark.parametrize("epsilon, sensitivity", [(1.0, 2.6e305), (1e-320, 1.0), (0.1, 1e308)])
+    def test_rejects_overflowing_noise(self, epsilon, sensitivity):
+        with pytest.raises(ValueError, match="dp.sensitivity / dp.epsilon = "):
+            DPParams(epsilon=epsilon, sensitivity=sensitivity)
+
+    def test_largest_draw_at_the_largest_scale_is_finite(self):
+        scale = laplace_scale(DPParams(epsilon=1.0, sensitivity=2.5e305))
+        assert math.isfinite(_inverse_cdf(0.0, scale))
 
     def test_unset_seed_is_refused(self):
         # numpy would draw an unset seed from OS entropy
@@ -159,7 +170,7 @@ class TestNoiseCsv:
     def test_header_and_precision(self, tmp_path):
         trace = generate_noise_trace(DPParams(epsilon=0.1, seed=5), 10)
         path = tmp_path / "noise.csv"
-        save_trace(trace, path, "noise_kw")
+        write_csv(path, ["step", "noise_kw"], enumerate(trace.values))
         lines = path.read_text().splitlines()
         assert lines[0] == "step,noise_kw"
         assert len(lines) == 11

@@ -24,7 +24,7 @@ from dpdispatch.scenario import (
     synth_weather,
 )
 from dpdispatch.thermal import ContinuousThermalModel, discretize
-from dpdispatch.traces import Trace, TraceError, load_trace, save_trace
+from dpdispatch.traces import Trace, TraceError, load_trace, write_csv
 
 
 class TestLoadTrace:
@@ -88,7 +88,7 @@ class TestLoadTrace:
     def test_round_trip(self, tmp_path):
         trace = Trace(values=(0.1, 1.0 / 3.0, -2.718281828459045), unit="kW", step_seconds=600)
         path = tmp_path / "rt.csv"
-        save_trace(trace, path, "pv_kw")
+        write_csv(path, ["step", "pv_kw"], enumerate(trace.values))
         back = load_trace(path, "kW", 600)
         assert back.values == trace.values
 

@@ -4,12 +4,17 @@ and parity with a reference parser on damaged files."""
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dpdispatch
 from dpdispatch.traces import TraceError, read_table, write_csv
 
 EDGE_FLOATS = [
@@ -194,3 +199,16 @@ def test_write_csv_refuses_other_cells(tmp_path, row):
     path = tmp_path / "edge.csv"
     with pytest.raises(TypeError, match=f"^{re.escape(str(path))}: cell .* not an int or float$"):
         write_csv(path, ["step", "x"], [[0, 1.0], row])
+
+
+def test_module_import_loads_only_what_it_imports():
+    # a fresh interpreter: the package root defines only __version__, so
+    # importing traces loads neither the other modules nor PyYAML
+    code = ("import sys, dpdispatch\n"
+            "print(sorted(n for n in vars(dpdispatch) if not n.startswith('_')))\n"
+            "import dpdispatch.traces\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('dpdispatch', 'yaml')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dpdispatch.__file__).parents[1])}
+    lines = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.splitlines()
+    assert lines == ["[]", "['dpdispatch', 'dpdispatch.traces']"]
