@@ -23,8 +23,7 @@ from dpdispatch import metrics
 from dpdispatch.dispatch import SOLVERS, SolverGuardError, clamp_reference, receding_horizon_run
 from dpdispatch.metrics import RunReport
 from dpdispatch.privacy import compute_net_pv, generate_noise_trace
-from dpdispatch.scenario import (ConfigError, ScenarioConfig, build_section, build_simulation,
-                                 check_fields, load_config)
+from dpdispatch.scenario import ConfigError, ScenarioConfig, build_config, build_simulation, load_config
 from dpdispatch.traces import Trace, TraceError, read_table, write_csv
 
 EXIT_OK = 0
@@ -88,15 +87,6 @@ def _temperatures_header(n_buildings: int) -> list[str]:
     return ["step"] + [f"b{j:03d}" for j in range(n_buildings)]
 
 
-def _manifest(cfg: ScenarioConfig, args: argparse.Namespace) -> dict:
-    return {
-        "tool": "dpdispatch",
-        "subcommand": args.command,
-        "solver": args.solver,
-        "config": dataclasses.asdict(cfg),
-    }
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     """--out, refused unless its nearest existing path is a directory; creates nothing."""
     out = Path(args.out)
@@ -135,7 +125,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     summary = _emit_run_files(report, cfg, out)
-    (out / "manifest.json").write_text(json.dumps(_manifest(cfg, args), indent=2, sort_keys=True) + "\n")
+    manifest = {"solver": args.solver, "config": dataclasses.asdict(cfg)}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     print(
         f"simulated {report.n_steps} steps, {cfg.n_buildings} buildings, solver={args.solver}: "
@@ -157,14 +148,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         raise TraceError(f"file not found: {manifest_path}")
     try:
-        config = json.loads(manifest_path.read_text())["config"]
-        n_b = config["n_buildings"]
-        check_fields("", ScenarioConfig, {"n_buildings": n_b})
-        mpc, buildings, traces = (build_section(name, config[name])
-                                  for name in ("mpc", "buildings", "traces"))
+        manifest = json.loads(manifest_path.read_text())
+        raw = manifest["config"]
+        cfg = build_config(raw, "config")
+        built = dataclasses.asdict(cfg)
+        for key in built:  # a run's manifest is the complete config it builds
+            if built[key] != raw.get(key):
+                raise ConfigError(f"config's {key} {raw.get(key)!r} builds as {built[key]!r}")
+        if manifest["solver"] not in SOLVERS:
+            raise ConfigError(f"solver {manifest['solver']!r} is not one of {sorted(SOLVERS)}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest: {exc!r}") from None
 
+    n_b, step_seconds = cfg.n_buildings, cfg.traces.step_seconds
     tables = {}
     for name in [*COLUMNS, "temperatures.csv"]:
         header = _header(name) if name in COLUMNS else _temperatures_header(n_b)
@@ -176,8 +172,8 @@ def cmd_report(args: argparse.Namespace) -> int:
               for name, columns in COLUMNS.items() for i, column in enumerate(columns, start=1)}
 
     # the fleet's draw with n units ON, for n = 0..n_b: the left fold of n ratings
-    draws = dict(enumerate([0.0, *np.add.accumulate(np.full(n_b, buildings.p_rate)).tolist()]))
-    net = compute_net_pv(*(Trace(values=stored[header], unit="kW", step_seconds=traces.step_seconds)
+    draws = dict(enumerate([0.0, *np.add.accumulate(np.full(n_b, cfg.buildings.p_rate)).tolist()]))
+    net = compute_net_pv(*(Trace(values=stored[header], unit="kW", step_seconds=step_seconds)
                            for header in ("pv_kw", "noise_kw"))).values
     # must_on_kw and free_kw are the draws of two counts of units that sum to at most n_b
     counts, left = {kw: n for n, kw in draws.items()}, np.full(len(net), n_b)
@@ -192,7 +188,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # NaN, which equals no stored value, where n_on is no count of units
     n_on = [n if n in draws else np.nan for n in stored["n_on"]]
     report = RunReport(
-        step_seconds=traces.step_seconds, temps=tables["temperatures.csv"][:, 1:].T,
+        step_seconds=step_seconds, temps=tables["temperatures.csv"][:, 1:].T,
         pv_kw=stored["pv_kw"], noise_kw=stored["noise_kw"],
         must_on_kw=stored["must_on_kw"], free_kw=stored["free_kw"],
         infeasible_steps=tuple(np.flatnonzero(stored["infeasible"]).tolist()),
@@ -200,7 +196,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         unclamped_reference_kw=net, reference_kw=tuple(clamp_reference(net, draws[n_b])),
         n_on=tuple(n_on), aggregate_kw=tuple(draws.get(n, a) for n, a in zip(n_on, stored["agg_kw"])),
     )
-    band = (mpc.comfort_min, mpc.comfort_max)
+    band = (cfg.mpc.comfort_min, cfg.mpc.comfort_max)
     for name, columns in COLUMNS.items():
         for column in columns:
             if column.text is not None:

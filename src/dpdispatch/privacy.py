@@ -100,6 +100,8 @@ def mechanism_expected_squared_error(params: DPParams, m: int) -> float:
     if m < 1:
         raise ValueError("m must be at least 1")
     # via the scale: 2 m (sensitivity/epsilon)^2 rounds exactly where the
-    # epsilon^2 form loses an ulp (e.g. epsilon = 0.1)
-    return 2.0 * m * laplace_scale(params) ** 2
+    # epsilon^2 form loses an ulp (e.g. epsilon = 0.1); a product, unlike
+    # ** 2, overflows to inf instead of raising
+    scale = laplace_scale(params)
+    return 2.0 * m * (scale * scale)
 

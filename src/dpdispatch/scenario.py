@@ -146,12 +146,6 @@ def _sub_seed(master: int, stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def build_section(name: str, values: dict[str, Any]) -> Any:
-    """Section `name` of SECTIONS from `values`, each field checked by check_fields first."""
-    check_fields(f"{name}.", SECTIONS[name], values)
-    return SECTIONS[name](**values)
-
-
 # child-stream indices off the master seed
 _STREAM_NOISE = 0
 _STREAM_PV = 1
@@ -160,55 +154,58 @@ _STREAM_INIT = 3
 _STREAM_JITTER = 4
 
 
+def build_config(raw: Any, source: str) -> ScenarioConfig:
+    """The ScenarioConfig of mapping `raw`, the one place a mapping becomes one.
+
+    `raw` holds the top-level keys and SECTIONS as a YAML config or a run's
+    manifest does; a key left out takes its default. Each field is checked by
+    check_fields before its dataclass is built, and every refusal is a
+    ConfigError; `source` names `raw` in the top-level ones.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: top level must be a mapping")
+    known = ["n_buildings", "seed", *SECTIONS]
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{source}: unknown key {key!r}; known keys: {', '.join(known)}")
+    try:
+        top = {key: raw.get(key, getattr(ScenarioConfig, key)) for key in ("n_buildings", "seed")}
+        check_fields("", ScenarioConfig, top)  # before ScenarioConfig derives the noise seed
+        sections = {}
+        for name, cls in SECTIONS.items():
+            check_fields(f"{name}.", cls, raw.get(name, {}))
+            sections[name] = cls(**raw.get(name, {}))
+        return ScenarioConfig(**top, **sections)
+    except TypeError as exc:
+        raise ConfigError(f"bad configuration field: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def load_config(path: str | Path | None = None, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
-    """Build a ScenarioConfig from a YAML file plus flat overrides.
+    """Build a ScenarioConfig from a YAML file plus flat overrides, by build_config.
 
     Recognized override keys: seed, epsilon, solver-agnostic mpc horizon
-    (horizon_np), n_buildings. Overrides beat file values; file values beat
+    (horizon), n_buildings. Overrides beat file values; file values beat
     defaults.
     """
-    raw: dict[str, Any] = {}
+    raw: Any = {}
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = yaml.safe_load(path.read_text())
+            raw = yaml.safe_load(path.read_text())
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not a YAML config: {exc}") from None
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        known = ["n_buildings", "seed", *SECTIONS]
-        for key in loaded:
-            if key not in known:
-                raise ConfigError(f"{path}: unknown key {key!r}; known keys: {', '.join(known)}")
-        raw = loaded
+        raw = {} if raw is None else raw
     overrides = overrides or {}
-
-    def section(name: str) -> dict:
-        sec = raw.get(name, {})
-        if not isinstance(sec, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping")
-        return dict(sec)
-
-    try:
-        top = {key: overrides.get(key, raw.get(key, getattr(ScenarioConfig, key)))
-               for key in ("n_buildings", "seed")}
-        check_fields("", ScenarioConfig, top)  # before ScenarioConfig derives the noise seed
-        sections = {name: section(name) for name in SECTIONS}
-        if "epsilon" in overrides:
-            sections["dp"]["epsilon"] = overrides["epsilon"]
-        if "horizon" in overrides:
-            sections["mpc"]["horizon_np"] = overrides["horizon"]
-        cfg = ScenarioConfig(**top, **{name: build_section(name, values)
-                                       for name, values in sections.items()})
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration field: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    if isinstance(raw, dict):  # else build_config refuses it
+        raw = {**raw, **{key: overrides[key] for key in ("n_buildings", "seed") if key in overrides}}
+        for key, section, name in (("epsilon", "dp", "epsilon"), ("horizon", "mpc", "horizon_np")):
+            if key in overrides and isinstance(raw.get(section, {}), dict):
+                raw[section] = {**raw.get(section, {}), name: overrides[key]}
+    return build_config(raw, str(path))
 
 
 def synth_pv(

@@ -48,14 +48,22 @@ def drop_manifest_mpc(out):
     path.write_text(json.dumps(manifest))
 
 
-def set_manifest_mpc(key, value):
-    """Replace one entry of the manifest's mpc section; json writes NaN as NaN."""
+def set_manifest(keys, value):
+    """Set the manifest entry that the path `keys` names; json writes NaN as NaN."""
     def mutate(out):
         path = out / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["config"]["mpc"][key] = value
+        entry = manifest
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
         path.write_text(json.dumps(manifest))
     return mutate
+
+
+def set_manifest_mpc(key, value):
+    """Replace one entry of the manifest's mpc section."""
+    return set_manifest(("config", "mpc", key), value)
 
 
 def truncate(name, keep_lines=None):
@@ -129,6 +137,7 @@ class TestSimulateCommand:
         assert set(rows[0]) == {"step", "ref_kw", "agg_kw", "residual_kw", "n_on", "violations"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n_buildings"] == 4
+        assert set(manifest) == {"solver", "config"}
 
     def test_exact_solver_small_instance(self, tmp_path):
         out = tmp_path / "run"
@@ -533,6 +542,27 @@ class TestReportCommand:
          "flags.csv: must_on_kw at step 1 is 25.0, expected the draw of at most 4 units of"),
         (set_cell("flags.csv", 2, 5, "20.0"),
          "flags.csv: free_kw at step 1 is 20.0, expected the draw of at most 3 units of"),
+        # the manifest must be the complete config it builds, by load_config's rules
+        (set_manifest(("config", "dp", "epsilon"), -1),
+         "manifest.json: not a run manifest: ConfigError('dp.epsilon must be positive and finite"),
+        (set_manifest(("config", "dp", "epsilon"), "x"),
+         "manifest.json: not a run manifest: ConfigError(\"dp.epsilon must be a finite number"),
+        (set_manifest(("config", "seed"), "x"),
+         "manifest.json: not a run manifest: ConfigError(\"seed must be an integer, got 'x'"),
+        (set_manifest(("config", "dp"), 5),
+         "manifest.json: not a run manifest: ConfigError('dp must be a mapping, got 5')"),
+        (set_manifest(("config", "horizon"), 6),
+         "manifest.json: not a run manifest: ConfigError(\"config: unknown key 'horizon'"),
+        (set_manifest(("config", "traces", "step_seconds"), 10000000),
+         "manifest.json: not a run manifest: ConfigError('traces.step_seconds must be at most"),
+        (set_manifest(("solver",), "simplex"),
+         "manifest.json: not a run manifest: ConfigError(\"solver 'simplex' is not one of"),
+        (set_manifest(("config", "n_buildings"), 0),
+         "manifest.json: not a run manifest: ConfigError('n_buildings must be at least 1')"),
+        (set_manifest(("config", "dp", "seed"), None),
+         "manifest.json: not a run manifest: ConfigError(\"config's dp {"),
+        (set_manifest(("config", "dp", "delta"), 0.0),
+         "manifest.json: not a run manifest: ConfigError(\"bad configuration field: "),
     ], ids=[
         "manifest-without-mpc", "manifest-truncated", "manifest-not-an-object",
         "temperatures-truncated", "temperatures-short-row",
@@ -547,6 +577,10 @@ class TestReportCommand:
         "manifest-comfort-min-string", "manifest-comfort-max-null", "manifest-comfort-min-nan",
         "results-ref-kw-edited", "results-agg-kw-edited", "flags-must-on-off-lattice",
         "flags-free-off-lattice", "flags-must-on-above-fleet", "flags-counts-above-fleet",
+        "manifest-epsilon-negative", "manifest-epsilon-string", "manifest-seed-string",
+        "manifest-dp-not-a-mapping", "manifest-unknown-key", "manifest-step-longer-than-run",
+        "manifest-unknown-solver", "manifest-no-buildings", "manifest-dp-seed-null",
+        "manifest-dp-delta",
     ])
     def test_malformed_run_named(self, tmp_path, capsys, mutate, named):
         out = tmp_path / "run"
@@ -606,6 +640,25 @@ class TestReportCommand:
             (out / "summary.csv").unlink()
             assert main(["report", "--out", str(out)]) == EXIT_OK
             assert (out / "summary.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("solver", ["greedy", "exact"])
+    def test_manifest_reruns_its_run(self, tmp_path, solver):
+        # flags set values the config file does not hold; the manifest must
+        # hold them, and every derived one such as dp.seed, to rerun the run
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_buildings: 3\nbuildings:\n  jitter: 0.1\ntraces:\n  days: 1\n"
+                       "  pv_peak_kw: 15.0\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = ["simulate", "--config", str(cfg), "--out", str(first), "--solver", solver,
+                "--seed", "7", "--epsilon", "0.3", "--horizon", "2"]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        cfg.write_text(yaml.safe_dump(manifest["config"]))
+        argv = ["simulate", "--config", str(cfg), "--out", str(again), "--solver", manifest["solver"]]
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in again.iterdir()) == RUN_TREE
+        for name in RUN_TREE:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_empty_directory_errors(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "missing")])

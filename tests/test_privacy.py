@@ -165,6 +165,10 @@ class TestExpectedSquaredError:
         with pytest.raises(ValueError):
             mechanism_expected_squared_error(DPParams(epsilon=1.0), m=0)
 
+    def test_overflowing_scale_squares_to_inf(self):
+        # DPParams accepts a scale of 1e300, whose square overflows a float
+        assert mechanism_expected_squared_error(DPParams(epsilon=1e-300), m=1) == math.inf
+
 
 class TestNoiseCsv:
     def test_header_and_precision(self, tmp_path):

@@ -17,6 +17,7 @@ from dpdispatch.scenario import (
     ConfigError,
     ScenarioConfig,
     TraceSources,
+    build_config,
     build_simulation,
     build_traces,
     load_config,
@@ -223,6 +224,40 @@ class TestConfig:
 
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "examples_config.yaml"
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
+
+
+def json_round_trip(cfg):
+    """build_config on cfg as a run's manifest.json stores it."""
+    return build_config(json.loads(json.dumps(dataclasses.asdict(cfg))), "config")
+
+
+class TestBuildConfig:
+    @pytest.mark.parametrize("path", [None, SCENARIOS / "greedy_fleet.yaml",
+                                      SCENARIOS / "exact_bnb.yaml"],
+                             ids=["default", "greedy_fleet", "exact_bnb"])
+    def test_manifest_builds_its_config(self, path):
+        cfg = load_config(path)
+        assert json_round_trip(cfg) == cfg
+
+    # the configs that TestReportCommand.test_report_round_trip runs
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_b=st.integers(1, 12), horizon=st.integers(1, 3), jitter=st.floats(0.0, 0.3),
+        weather_mean=st.floats(20.0, 32.0), p_rate=st.sampled_from([4.3, 5.1]),
+        epsilon=st.sampled_from([0.1, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_manifest_builds_its_config(self, n_b, horizon, jitter, weather_mean,
+                                                  p_rate, epsilon, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.yaml"
+            path.write_text(yaml.safe_dump({
+                "n_buildings": n_b, "seed": seed, "dp": {"epsilon": epsilon},
+                "buildings": {"jitter": jitter, "p_rate": p_rate},
+                "traces": {"days": 1, "weather_mean_c": weather_mean, "pv_peak_kw": 5.0 * n_b},
+            }))
+            cfg = load_config(path, {"horizon": horizon})
+        assert json_round_trip(cfg) == cfg
 
 # the declared field types that check_fields has a rule for
 FIELD_TYPES = ("int", "float", "str | None", "int | None")
