@@ -259,6 +259,7 @@ class TestBuildConfig:
             cfg = load_config(path, {"horizon": horizon})
         assert json_round_trip(cfg) == cfg
 
+
 # the declared field types that check_fields has a rule for
 FIELD_TYPES = ("int", "float", "str | None", "int | None")
 
